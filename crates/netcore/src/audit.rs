@@ -258,7 +258,7 @@ impl Auditor {
     /// The physical lower bound on inject→deliver time for one packet:
     /// serialization at the full 320 B/ns per-site peak plus time of
     /// flight over the torus-wrapped Manhattan distance (the weakest
-    /// valid bound across all five architectures — the circuit-switched
+    /// valid bound across all seven architectures — the circuit-switched
     /// and limited point-to-point tori route across the wrap edges).
     /// Intra-site loop-back is modeled as a one-cycle hand-off.
     fn latency_floor(&self, src: usize, dst: usize, bytes: u32) -> Span {

@@ -1,4 +1,4 @@
-//! The `Network` trait implemented by all five architectures.
+//! The `Network` trait implemented by all seven architectures.
 
 use crate::{FaultResponse, MacrochipConfig, NetFault, NetStats, Packet};
 use desim::{Time, Tracer};
@@ -132,6 +132,10 @@ pub trait Network {
     /// [`advance`](Network::advance) call and reads the simulation clock
     /// back from here. Implementations that return `Some` must report the
     /// exact timestamp of the last event popped from their queue.
+    /// Wrappers report the last instant their own `advance` processed:
+    /// the multi-chip fabric the last instant it stepped (board-link or
+    /// chip events), the fault-resilience wrapper its last fault, retry
+    /// flush or inner event.
     fn last_event_time(&self) -> Option<Time> {
         None
     }

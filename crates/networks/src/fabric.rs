@@ -2,7 +2,7 @@
 //! links between per-chip gateway sites (ROADMAP item 2).
 //!
 //! A [`FabricNetwork`] wraps one inner network instance *per chip* — any
-//! of the six architectures — and extends the hierarchical design's
+//! of the seven architectures — and extends the hierarchical design's
 //! bridge idea one level up: each chip's local `(0, 0)` site is its
 //! *gateway*, sourcing a dedicated WDM board link to every other
 //! gateway. A cross-chip packet rides its source chip's network to the
@@ -15,13 +15,17 @@
 //!
 //! The whole fabric runs inside the caller's single event loop: the
 //! wrapper owns one calendar queue for board-link events and forwards
-//! `advance` to whichever chip holds the globally earliest event, so the
+//! `advance` to whichever chips hold the globally earliest event, so the
 //! existing sweep/fault/replay drivers, the slab-leak check and the
-//! flight recorder all work unchanged. The wrapper's tracer is *never*
-//! propagated to the inner chips — inner activity is summarized at the
-//! fabric boundary (their relay work is re-emitted as gateway-anchored
-//! `Hop` events when a leg completes), keeping the event stream globally
-//! addressed.
+//! flight recorder all work unchanged. Each chip's next event time is
+//! cached and refreshed only after a call that can change that chip, so
+//! finding the earliest instant is a scan of a small array rather than
+//! one `next_event` call per chip. `advance` is time-faithful, so the
+//! runner may sweep the whole board through a batch of events at once.
+//! The wrapper's tracer is *never* propagated to the inner chips — inner
+//! activity is summarized at the fabric boundary (their relay work is
+//! re-emitted as gateway-anchored `Hop` events when a leg completes),
+//! keeping the event stream globally addressed.
 //!
 //! Flow control mirrors the hierarchical bridge: a cross-chip admission
 //! reserves a slot on its board link (`link_load`) and injection is
@@ -86,6 +90,13 @@ pub struct FabricNetwork {
     /// after that chip's next event.
     pending: Vec<VecDeque<Packet>>,
     events: desim::EventQueue<Ev>,
+    /// `chips[i].next_event()`, refreshed after every call that can
+    /// change chip `i`: an injection, its `advance`, a fault.
+    chip_next: Vec<Option<Time>>,
+    /// The last instant `advance` processed.
+    last_step: Option<Time>,
+    /// Reused buffer for the legs a chip delivers in one step.
+    legs: Vec<Packet>,
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
@@ -111,6 +122,9 @@ impl FabricNetwork {
             transit: FxHashMap::default(),
             pending: (0..k).map(|_| VecDeque::new()).collect(),
             events: desim::EventQueue::new(),
+            chip_next: vec![None; k],
+            last_step: None,
+            legs: Vec::new(),
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
@@ -124,6 +138,11 @@ impl FabricNetwork {
 
     fn link_index(&self, src_chip: usize, dst_chip: usize) -> usize {
         src_chip * self.chips.len() + dst_chip
+    }
+
+    /// Re-reads chip `i`'s next event time into the cache.
+    fn refresh(&mut self, i: usize) {
+        self.chip_next[i] = self.chips[i].next_event();
     }
 
     /// Re-emits an inner chip's relay work as gateway-anchored `Hop`
@@ -272,9 +291,10 @@ impl FabricNetwork {
     }
 
     fn offer_leg2(&mut self, chip: usize, leg2: Packet, now: Time) {
-        match self.chips[chip].inject(leg2, now) {
-            Ok(()) => {}
-            Err(refused) => self.pending[chip].push_back(refused),
+        let offered = self.chips[chip].inject(leg2, now);
+        self.refresh(chip);
+        if let Err(refused) = offered {
+            self.pending[chip].push_back(refused);
         }
     }
 
@@ -290,14 +310,12 @@ impl FabricNetwork {
     /// The earliest pending instant across the board queue and every
     /// chip.
     fn earliest(&self) -> Option<Time> {
-        let mut t = self.events.peek_time();
-        for chip in &self.chips {
-            t = match (t, chip.next_event()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        t
+        self.chip_next
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.events.peek_time())
+            .min()
     }
 
     fn globalize_evicted(&self, chip: usize, mut p: Packet) -> Packet {
@@ -352,7 +370,9 @@ impl Network for FabricNetwork {
             let mut leg = packet;
             leg.src = self.fabric.local(packet.src);
             leg.dst = self.fabric.local(packet.dst);
-            return match self.chips[sc].inject(leg, now) {
+            let accepted = self.chips[sc].inject(leg, now);
+            self.refresh(sc);
+            return match accepted {
                 Ok(()) => {
                     self.stats.on_inject(now);
                     if let Some((id, src, dst, bytes)) = trace_fields {
@@ -412,7 +432,9 @@ impl Network for FabricNetwork {
         let mut leg = packet;
         leg.src = self.fabric.local(packet.src);
         leg.dst = self.fabric.chip.grid.site(0, 0);
-        match self.chips[sc].inject(leg, now) {
+        let accepted = self.chips[sc].inject(leg, now);
+        self.refresh(sc);
+        match accepted {
             Ok(()) => {
                 self.link_load[link] += 1;
                 self.transit.insert(
@@ -452,13 +474,11 @@ impl Network for FabricNetwork {
     fn advance(&mut self, now: Time) {
         // Process the globally earliest instant (board queue or a chip)
         // until nothing remains at or before `now`. Ties resolve
-        // deterministically: board events first, then chips in board
-        // order. Every handler runs at its event's own timestamp, so the
-        // interleaving is time-faithful.
-        while let Some(t) = self.earliest() {
-            if t > now {
-                break;
-            }
+        // deterministically: board events first, then the due chips in
+        // board order, repeating the instant until nothing is due. Every
+        // handler runs at its event's own timestamp, so the interleaving
+        // is time-faithful.
+        while let Some(t) = self.earliest().filter(|&t| t <= now) {
             while let Some((at, ev)) = self.events.pop_due(t) {
                 match ev {
                     Ev::LinkFree { link } => self.pump_link(link, at),
@@ -466,17 +486,32 @@ impl Network for FabricNetwork {
                 }
             }
             for i in 0..self.chips.len() {
-                if self.chips[i].next_event().is_some_and(|ct| ct <= t) {
+                if self.chip_next[i].is_some_and(|ct| ct <= t) {
                     self.chips[i].advance(t);
-                    for leg in self.chips[i].drain_delivered() {
+                    let mut legs = std::mem::take(&mut self.legs);
+                    self.chips[i].drain_delivered_into(&mut legs);
+                    for leg in legs.drain(..) {
                         self.on_chip_delivery(i, leg, t);
                     }
+                    self.legs = legs;
                     if !self.pending[i].is_empty() {
                         self.retry_pending(i, t);
                     }
+                    self.refresh(i);
                 }
             }
+            self.last_step = Some(t);
         }
+    }
+
+    /// The last instant [`advance`](Network::advance) processed, whether
+    /// it held board-link events, chip events or both.
+    fn last_event_time(&self) -> Option<Time> {
+        self.last_step
+    }
+
+    fn supports_batched_advance(&self) -> bool {
+        true
     }
 
     fn drain_delivered(&mut self) -> Vec<Packet> {
@@ -555,6 +590,7 @@ impl Network for FabricNetwork {
                     },
                 };
                 let mut response = self.chips[chip].apply_fault(local, now);
+                self.refresh(chip);
                 if !response.evicted.is_empty() {
                     let evicted = std::mem::take(&mut response.evicted);
                     response.evicted = self.absorb_evictions(chip, evicted);

@@ -10,17 +10,28 @@
 //! [`FabricConfig`] is not "almost" the plain single-chip path, it *is*
 //! that path — same [`PointResult`], same metrics snapshot, byte for
 //! byte.
+//!
+//! The last tests drive boards both ways the runner can: batched (the
+//! fabric advanced through every event up to the next emission in one
+//! call) and per-event (one runner iteration per instant). Both must
+//! produce the same bytes.
 
-use desim::{Backend, Span};
-use faults::FaultPlan;
+use desim::{Backend, Span, Time, Tracer};
+use faults::{FaultPlan, ResilientNetwork};
 use macrochip::campaign::{
     run_indexed, run_point_fabric, run_point_full, run_point_full_fabric, CampaignPoint,
-    PointExecOptions, PointRun,
+    FaultSummary, PointExecOptions, PointResult, PointRun,
 };
-use macrochip::sweep::SweepOptions;
+use macrochip::runner::{drive_traced, DriveLimits};
+use macrochip::sweep::{run_load_point_traced, SweepOptions};
 use netcore::slab::set_thread_mode;
-use netcore::{FabricConfig, MacrochipConfig, NetworkKind, SlabMode};
-use workloads::Pattern;
+use netcore::{
+    Auditor, FabricConfig, FaultResponse, MacrochipConfig, MetricsRegistry, NetFault, NetStats,
+    Network, NetworkKind, Packet, SlabMode, SlabStats,
+};
+use std::cell::RefCell;
+use std::rc::Rc;
+use workloads::{OpenLoopTraffic, Pattern};
 
 const SIM: Span = Span::from_ns(500);
 const DRAIN: Span = Span::from_us(5);
@@ -222,5 +233,219 @@ fn single_chip_fabric_points_match_plain_points() {
                 "{kind}: single-chip fabric audit verdict differs from the plain path"
             );
         }
+    }
+}
+
+/// Forwards every [`Network`] method to the wrapped network but refuses
+/// batched advance, so the runner drives it one instant per iteration.
+struct PerEvent(Box<dyn Network>);
+
+impl Network for PerEvent {
+    fn kind(&self) -> NetworkKind {
+        self.0.kind()
+    }
+    fn config(&self) -> &MacrochipConfig {
+        self.0.config()
+    }
+    fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet> {
+        self.0.inject(packet, now)
+    }
+    fn next_event(&self) -> Option<Time> {
+        self.0.next_event()
+    }
+    fn advance(&mut self, now: Time) {
+        self.0.advance(now)
+    }
+    fn drain_delivered(&mut self) -> Vec<Packet> {
+        self.0.drain_delivered()
+    }
+    fn drain_delivered_into(&mut self, out: &mut Vec<Packet>) {
+        self.0.drain_delivered_into(out)
+    }
+    fn last_event_time(&self) -> Option<Time> {
+        self.0.last_event_time()
+    }
+    fn supports_batched_advance(&self) -> bool {
+        false
+    }
+    fn slab_stats(&self) -> Option<SlabStats> {
+        self.0.slab_stats()
+    }
+    fn stats(&self) -> &NetStats {
+        self.0.stats()
+    }
+    fn events_processed(&self) -> u64 {
+        self.0.events_processed()
+    }
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.0.set_tracer(tracer)
+    }
+    fn apply_fault(&mut self, fault: NetFault, now: Time) -> FaultResponse {
+        self.0.apply_fault(fault, now)
+    }
+}
+
+/// Runs a board point as [`run_point_full_fabric`] does, with metrics and
+/// audit on, building the fabric through `wrap`. Returns the result, the
+/// metrics JSON (audit counters included, so a verdict that differs
+/// between the two drives fails the comparison), and whether the runner
+/// was allowed to batch.
+fn drive_board(
+    point: &CampaignPoint,
+    board: &FabricConfig,
+    wrap: fn(Box<dyn Network>) -> Box<dyn Network>,
+) -> (PointResult, String, bool) {
+    let global = board.global_config();
+    let auditor = Rc::new(RefCell::new(Auditor::new_fabric(point.kind(), board)));
+    let tracer = Tracer::shared(&auditor);
+    let build = |kind| wrap(networks::build_fabric(kind, board));
+    let mut reg = MetricsRegistry::new();
+    let (result, batched) = match point {
+        CampaignPoint::Sweep {
+            kind,
+            pattern,
+            offered,
+            options,
+        } => {
+            let net = build(*kind);
+            let batched = net.supports_batched_advance();
+            let (p, net) =
+                run_load_point_traced(net, *pattern, *offered, &global, *options, tracer);
+            let end = Time::ZERO + options.sim + options.drain;
+            let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
+            reg.record_net_stats(net.stats());
+            reg.set_gauge("run.offered_load", *offered);
+            report.record_metrics(&mut reg);
+            (PointResult::Sweep(p), batched)
+        }
+        CampaignPoint::Fault {
+            kind,
+            pattern,
+            load,
+            plan,
+            seed,
+            sim,
+            drain,
+            max_stalled,
+        } => {
+            let horizon = Time::ZERO + *sim;
+            let mut net = ResilientNetwork::new(build(*kind), plan, *seed, horizon);
+            let batched = net.supports_batched_advance();
+            net.set_tracer(tracer.clone());
+            let peak = global.site_bandwidth_bytes_per_ns();
+            let mut traffic = OpenLoopTraffic::new(
+                &global.grid,
+                *pattern,
+                *load,
+                peak,
+                global.data_bytes,
+                *seed,
+            );
+            traffic.set_horizon(horizon);
+            let limits = DriveLimits::for_window(*sim, *drain, *max_stalled);
+            let outcome = drive_traced(&mut net, &mut traffic, limits, tracer);
+            let s = net.fault_stats();
+            let report = auditor
+                .borrow_mut()
+                .finalize(net.stats(), s.dropped, outcome.end);
+            net.record_metrics(&mut reg, outcome.end);
+            reg.set_gauge("run.offered_load", *load);
+            report.record_metrics(&mut reg);
+            let result = PointResult::Fault(FaultSummary {
+                clean_delivered: s.clean_delivered,
+                lost: net.lost_packets(),
+                retries: s.retries,
+                availability: net.availability(),
+                clean_bytes: s.clean_bytes,
+                degraded_ns: s.time_degraded(outcome.end).as_ns_f64(),
+                end_ns: outcome.end.as_ns_f64(),
+                saturated: outcome.saturated,
+            });
+            (result, batched)
+        }
+        _ => unreachable!("board points are sweeps or faults"),
+    };
+    (result, reg.snapshot().to_json(), batched)
+}
+
+/// Drives `point` batched and per-event and byte-compares the two, and
+/// the batched run against the campaign engine. `expect_batched` states
+/// which path the unwrapped stack should take. Returns the result.
+fn assert_batched_matches_per_event(
+    point: &CampaignPoint,
+    board: &FabricConfig,
+    expect_batched: bool,
+) -> PointResult {
+    let side = board.chips_per_side;
+    let label = format!("{} {} on {side}x{side}", point.kind(), point.tag());
+    let (result, metrics, batched) = drive_board(point, board, |net| net);
+    let (per_result, per_metrics, per_batched) =
+        drive_board(point, board, |net| Box::new(PerEvent(net)));
+    assert_eq!(batched, expect_batched, "{label}: unexpected runner path");
+    assert!(!per_batched, "{label}: the per-event wrapper was batched");
+    assert_eq!(result, per_result, "{label}: PointResult differs per-event");
+    assert_eq!(metrics, per_metrics, "{label}: metrics differ per-event");
+    let engine = run_point_full_fabric(
+        point,
+        board,
+        PointExecOptions {
+            metrics: true,
+            audit: true,
+            ..PointExecOptions::default()
+        },
+    );
+    assert_eq!(
+        engine.result, result,
+        "{label}: harness differs from the engine"
+    );
+    assert_eq!(
+        engine.metrics.map(|m| m.to_json()),
+        Some(metrics),
+        "{label}: harness metrics differ from the engine"
+    );
+    result
+}
+
+/// Open-loop sweeps of every architecture on the 2x2 board, below
+/// saturation (a saturated run stalls packets, which forces the
+/// per-event path on both sides), plus one 4x4 point.
+#[test]
+fn batched_board_sweeps_match_per_event() {
+    let board = fabric();
+    for kind in NetworkKind::ALL {
+        let result = assert_batched_matches_per_event(&sweep_point(kind, 0.01), &board, true);
+        if let PointResult::Sweep(p) = result {
+            assert!(!p.saturated, "{kind}: the point must stay below saturation");
+        }
+    }
+    let big = FabricConfig::grid(4, MacrochipConfig::with_side(4));
+    let point = CampaignPoint::Sweep {
+        kind: NetworkKind::PointToPoint,
+        pattern: Pattern::Neighbor,
+        offered: 0.02,
+        options: options(0x4B4),
+    };
+    assert_batched_matches_per_event(&point, &big, true);
+}
+
+/// A board-link kill without transients batches through the resilience
+/// wrapper; with transients the wrapper keeps the per-event path. Both
+/// must match a per-event run byte for byte.
+#[test]
+fn batched_board_fault_points_match_per_event() {
+    let board = fabric();
+    for kind in FABRIC_KINDS {
+        assert_batched_matches_per_event(&fault_point(kind), &board, true);
+        let transient = CampaignPoint::Fault {
+            kind,
+            pattern: Pattern::Uniform,
+            load: 0.02,
+            plan: FaultPlan::parse("link:0->4@500ns; transient=0.01; repair=2us").unwrap(),
+            seed: 78,
+            sim: SIM,
+            drain: DRAIN,
+            max_stalled: 5_000,
+        };
+        assert_batched_matches_per_event(&transient, &board, false);
     }
 }
