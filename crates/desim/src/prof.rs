@@ -116,11 +116,17 @@ pub enum Counter {
     /// Cumulative wall-clock spent on cache misses (lookup only, not the
     /// recomputation), nanoseconds.
     CacheMissNs,
+    /// Stalled packets the driver re-offered to a network (`inject`
+    /// calls after the first refusal).
+    ReoffersMade,
+    /// Re-offers the driver skipped because the packet's source could not
+    /// have admitted it yet (its admission epoch had not moved).
+    ReoffersSkipped,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 9;
 
     /// All counters, in display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -131,6 +137,8 @@ impl Counter {
         Counter::CacheMisses,
         Counter::CacheHitNs,
         Counter::CacheMissNs,
+        Counter::ReoffersMade,
+        Counter::ReoffersSkipped,
     ];
 
     /// Stable dotted name used in metrics and reports.
@@ -143,6 +151,8 @@ impl Counter {
             Counter::CacheMisses => "cache_misses",
             Counter::CacheHitNs => "cache_hit_ns",
             Counter::CacheMissNs => "cache_miss_ns",
+            Counter::ReoffersMade => "reoffers_made",
+            Counter::ReoffersSkipped => "reoffers_skipped",
         }
     }
 }
@@ -362,6 +372,17 @@ impl ProfReport {
                 r.self_ns as f64 / r.count as f64,
             );
         }
+        // Stall churn: how many re-offers of refused packets the driver
+        // made, and how many it skipped as certain refusals.
+        let made = self.counter(Counter::ReoffersMade);
+        let skipped = self.counter(Counter::ReoffersSkipped);
+        if made + skipped > 0 {
+            let _ = writeln!(
+                out,
+                "re-offers: {made} made, {skipped} skipped ({:.1}% skipped)",
+                100.0 * skipped as f64 / (made + skipped) as f64
+            );
+        }
         out
     }
 
@@ -462,27 +483,32 @@ mod tests {
     use super::*;
     use crate::trace::validate_json;
 
-    /// Serializes tests that toggle the global enable flag.
-    fn with_profiler<T>(f: impl FnOnce() -> T) -> T {
+    /// Serializes tests that toggle the global enable flag: runs `f`
+    /// with profiling `on`, then leaves it off.
+    fn with_enabled<T>(on: bool, f: impl FnOnce() -> T) -> T {
         use std::sync::Mutex;
         static GATE: Mutex<()> = Mutex::new(());
         let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
         reset_local();
-        set_enabled(true);
+        set_enabled(on);
         let out = f();
         set_enabled(false);
         out
     }
 
+    fn with_profiler<T>(f: impl FnOnce() -> T) -> T {
+        with_enabled(true, f)
+    }
+
     #[test]
     fn disabled_span_records_nothing() {
-        set_enabled(false);
-        reset_local();
-        {
-            let _s = span(Site::Dispatch);
-        }
-        assert_eq!(open_depth(), 0);
-        assert!(local_report().site(Site::Dispatch).is_none());
+        with_enabled(false, || {
+            {
+                let _s = span(Site::Dispatch);
+            }
+            assert_eq!(open_depth(), 0);
+            assert!(local_report().site(Site::Dispatch).is_none());
+        });
     }
 
     #[test]

@@ -20,7 +20,9 @@
 
 use crate::plan::{FaultPlan, RecoveryPolicy};
 use desim::{Span, Time, TraceEvent, Tracer};
-use netcore::{FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet};
+use netcore::{
+    Admission, FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet,
+};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Resilience-layer accounting, kept apart from the inner network's
@@ -124,6 +126,10 @@ pub struct ResilientNetwork {
     /// Attempt number per in-flight packet id (1 = first transmission).
     attempts: HashMap<u64, u32>,
     dead: Vec<bool>,
+    /// Faults applied so far, folded into the inner network's admission
+    /// epochs: a site kill turns refusals into dead-site absorption for
+    /// any source, and an inner degradation policy may evict or re-route.
+    fault_epoch: u64,
     delivered: Vec<Packet>,
     /// Reused buffer for draining the inner network.
     scratch: Vec<Packet>,
@@ -158,6 +164,7 @@ impl ResilientNetwork {
             retry_seq: 0,
             attempts: HashMap::new(),
             dead: vec![false; sites],
+            fault_epoch: 0,
             delivered: Vec::new(),
             scratch: Vec::new(),
             last_step: None,
@@ -283,6 +290,7 @@ impl ResilientNetwork {
 
     fn apply_one(&mut self, fault: NetFault, now: Time) -> FaultResponse {
         self.fstats.on_fault(fault, now);
+        self.fault_epoch += 1;
         let (site, peer) = (fault.site().index(), fault.peer().index());
         if fault.is_recovery() {
             self.tracer.emit(now, || TraceEvent::Recover {
@@ -407,6 +415,18 @@ impl Network for ResilientNetwork {
             }
             Err(back) => Err(back),
         }
+    }
+
+    /// Refusals come only from the inner network, and only for packets
+    /// that touch no dead site; the dead set changes only when a fault is
+    /// applied, so the inner epochs plus the fault count are enough.
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        let fault_epoch = self.fault_epoch;
+        self.inner.admission_epochs().map(|a| a.folded(fault_epoch))
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.inner.count_skipped_refusals(n);
     }
 
     fn next_event(&self) -> Option<Time> {

@@ -24,6 +24,7 @@
 //! assert!((config.site_bandwidth_bytes_per_ns() - 320.0).abs() < 1e-9);
 //! ```
 
+mod admission;
 pub mod audit;
 mod channel;
 mod config;
@@ -38,6 +39,7 @@ pub mod slab;
 pub mod stats;
 mod traffic;
 
+pub use admission::{Admission, AdmissionEpochs};
 pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use channel::TxChannel;
 pub use config::MacrochipConfig;

@@ -1,6 +1,6 @@
 //! The `Network` trait implemented by all seven architectures.
 
-use crate::{FaultResponse, MacrochipConfig, NetFault, NetStats, Packet};
+use crate::{Admission, FaultResponse, MacrochipConfig, NetFault, NetStats, Packet};
 use desim::{Time, Tracer};
 use photonics::inventory::NetworkId;
 use std::fmt;
@@ -87,7 +87,9 @@ impl fmt::Display for NetworkKind {
 /// interface:
 ///
 /// 1. [`inject`](Network::inject) a packet at the current time (may refuse
-///    under backpressure — the caller retries after the next event);
+///    under backpressure — the caller retries later, when
+///    [`admission_epochs`](Network::admission_epochs) says the source may
+///    admit again, or after every event when the network has none);
 /// 2. query [`next_event`](Network::next_event) for the earliest pending
 ///    internal event;
 /// 3. [`advance`](Network::advance) simulation up to a chosen instant;
@@ -103,11 +105,47 @@ pub trait Network {
     /// Offers a packet for injection at `now` (the packet's source site
     /// must match `packet.src`).
     ///
+    /// A refused inject has no side effect except counting one rejection
+    /// in [`NetStats`]: the network's state is exactly as before, so the
+    /// same offer stays refused until an event changes that state. A
+    /// network that reports [`admission_epochs`](Network::admission_epochs)
+    /// promises more: the same offer stays refused until its source's
+    /// epoch moves.
+    ///
     /// # Errors
     ///
     /// Returns the packet back if the source's injection queue is full;
     /// the caller should retry after the next network event.
     fn inject(&mut self, packet: Packet, now: Time) -> Result<(), Packet>;
+
+    /// The network's admission epochs, if it keeps them; `None` (the
+    /// default) means a refused packet may become acceptable after any
+    /// event, so drivers re-offer after every event.
+    ///
+    /// A network that returns `Some` must bump a source site's epoch
+    /// (see [`AdmissionEpochs`](crate::AdmissionEpochs)) whenever a packet
+    /// it refused from that site might now be accepted — whenever one of
+    /// the site's injection queues dequeues, or a shared queue the site
+    /// injects into does — and bump every site when a fault or repair is
+    /// applied. Bumping more often than necessary is always safe; missing
+    /// a bump makes a driver skip an offer that would have succeeded.
+    /// Wrappers either forward (folding in state of their own, see
+    /// [`Admission::folded`]) or keep the default.
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        None
+    }
+
+    /// Counts `n` refusals the driver skipped: offers it did not make
+    /// because the source's admission epoch had not moved since the
+    /// packet was last refused, so they were certain to be refused. The
+    /// network adds them to its rejection count, keeping
+    /// [`NetStats::rejected_packets`] what it would have been had every
+    /// offer been made. Only called on networks that return
+    /// [`admission_epochs`](Network::admission_epochs); the default does
+    /// nothing.
+    fn count_skipped_refusals(&mut self, n: u64) {
+        let _ = n;
+    }
 
     /// The earliest pending internal event, if any.
     fn next_event(&self) -> Option<Time>;

@@ -112,6 +112,12 @@ impl NetStats {
         self.rejected.incr();
     }
 
+    /// Records `n` refused injections the driver skipped as certain
+    /// refusals (see [`Network::count_skipped_refusals`](crate::Network::count_skipped_refusals)).
+    pub fn on_rejects(&mut self, n: u64) {
+        self.rejected.add(n);
+    }
+
     /// Records a packet permanently dropped by a fault (dead destination,
     /// retry budget exhausted).
     pub fn on_drop(&mut self) {

@@ -18,8 +18,8 @@
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, FxHashMap, FxHashSet, MacrochipConfig, NetFault, NetStats, Network, NetworkKind,
-    Packet, PacketRef, PacketSlab, SiteId, SlabStats, TxChannel,
+    Admission, AdmissionEpochs, FaultResponse, FxHashMap, FxHashSet, MacrochipConfig, NetFault,
+    NetStats, Network, NetworkKind, Packet, PacketRef, PacketSlab, SiteId, SlabStats, TxChannel,
 };
 use std::collections::VecDeque;
 
@@ -117,6 +117,8 @@ pub struct CircuitSwitchedNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped per source site whenever its gateway queue dequeues.
+    admission: AdmissionEpochs,
 }
 
 const DIR_XP: usize = 0;
@@ -185,6 +187,7 @@ impl CircuitSwitchedNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(sites),
         }
     }
 
@@ -292,6 +295,7 @@ impl CircuitSwitchedNetwork {
             let Some(head) = self.src_wait[src.index()].pop_front() else {
                 return;
             };
+            self.admission.bump(src.index());
             let packet = self.slab.get_mut(head);
             let dst = packet.dst;
             // Leaving the gateway queue starts the setup handshake: the
@@ -507,6 +511,14 @@ impl Network for CircuitSwitchedNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -573,6 +585,7 @@ impl Network for CircuitSwitchedNetwork {
     /// Laser loss halves the affected site's control-network bandwidth,
     /// slowing every setup it sources.
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
+        self.admission.bump_all();
         match fault {
             NetFault::LinkKill { src, dst } => {
                 self.dead_links.insert((src.index(), dst.index()));

@@ -59,7 +59,9 @@ struct Transit {
     original: Packet,
     src_chip: usize,
     dst_chip: usize,
-    /// Relay bytes accumulated so far (inner forwards + gateway hops).
+    /// Relay bytes accumulated so far: those the packet carried in from
+    /// earlier delivery attempts, plus this attempt's inner forwards and
+    /// gateway hops.
     routed_bytes: u32,
     arb_start: Option<Time>,
     tx_start: Option<Time>,
@@ -86,6 +88,12 @@ pub struct FabricNetwork {
     link_load: Vec<usize>,
     link_bw: f64,
     transit: FxHashMap<u64, Transit>,
+    /// Relay bytes a same-chip packet carried in from earlier delivery
+    /// attempts (a retransmission), keyed by packet id. Legs start from
+    /// zero routed bytes, so the hops re-emitted when a leg completes are
+    /// exactly the relays it made; carried-in bytes (whose hops were
+    /// emitted on the earlier attempt) are added back afterwards.
+    carried: FxHashMap<u64, u32>,
     /// Leg-2 packets refused by a busy destination chip, re-offered
     /// after that chip's next event.
     pending: Vec<VecDeque<Packet>>,
@@ -120,6 +128,7 @@ impl FabricNetwork {
             link_load: vec![0; k * k],
             link_bw,
             transit: FxHashMap::default(),
+            carried: FxHashMap::default(),
             pending: (0..k).map(|_| VecDeque::new()).collect(),
             events: desim::EventQueue::new(),
             chip_next: vec![None; k],
@@ -216,6 +225,7 @@ impl FabricNetwork {
             let mut p = leg;
             p.src = self.fabric.global(i, p.src);
             p.dst = self.fabric.global(i, p.dst);
+            p.routed_bytes += self.take_carried(id);
             self.deliver(p, at);
             return;
         };
@@ -324,21 +334,45 @@ impl FabricNetwork {
         p
     }
 
+    /// Relay bytes a same-chip packet carried in from an earlier attempt.
+    fn take_carried(&mut self, id: u64) -> u32 {
+        if self.carried.is_empty() {
+            0
+        } else {
+            self.carried.remove(&id).unwrap_or(0)
+        }
+    }
+
     /// Maps an inner chip's evicted leg packets back to fabric-global
-    /// originals, releasing any board-link reservations they held.
-    fn absorb_evictions(&mut self, chip: usize, evicted: Vec<Packet>) -> Vec<Packet> {
+    /// originals, releasing any board-link reservations they held. The
+    /// relays the packet made before eviction happened: their hops are
+    /// emitted and their bytes carried into the retransmission, as a
+    /// single-chip network's evicted packet keeps its `routed_bytes`.
+    fn absorb_evictions(&mut self, chip: usize, evicted: Vec<Packet>, now: Time) -> Vec<Packet> {
+        let gateway = self.fabric.gateway(chip).index();
         evicted
             .into_iter()
-            .map(|leg| match self.transit.remove(&leg.id.0) {
-                Some(tr) => {
-                    if tr.src_chip == chip {
-                        // Leg 1 never reached the board: free its slot.
-                        let link = self.link_index(tr.src_chip, tr.dst_chip);
-                        self.link_load[link] -= 1;
+            .map(|leg| {
+                let id = leg.id.0;
+                self.emit_inner_hops(id, leg.routed_bytes, leg.bytes, gateway, now);
+                match self.transit.remove(&id) {
+                    Some(tr) => {
+                        if tr.src_chip == chip {
+                            // Leg 1 never reached the board: free its slot.
+                            let link = self.link_index(tr.src_chip, tr.dst_chip);
+                            self.link_load[link] -= 1;
+                        }
+                        let mut p = tr.original;
+                        p.routed_bytes = tr.routed_bytes + leg.routed_bytes;
+                        p
                     }
-                    tr.original
+                    None => {
+                        let carried = self.take_carried(id);
+                        let mut p = self.globalize_evicted(chip, leg);
+                        p.routed_bytes += carried;
+                        p
+                    }
                 }
-                None => self.globalize_evicted(chip, leg),
             })
             .collect()
     }
@@ -370,10 +404,14 @@ impl Network for FabricNetwork {
             let mut leg = packet;
             leg.src = self.fabric.local(packet.src);
             leg.dst = self.fabric.local(packet.dst);
+            leg.routed_bytes = 0;
             let accepted = self.chips[sc].inject(leg, now);
             self.refresh(sc);
             return match accepted {
                 Ok(()) => {
+                    if packet.routed_bytes > 0 {
+                        self.carried.insert(packet.id.0, packet.routed_bytes);
+                    }
                     self.stats.on_inject(now);
                     if let Some((id, src, dst, bytes)) = trace_fields {
                         self.tracer.emit(now, || TraceEvent::Inject {
@@ -407,7 +445,7 @@ impl Network for FabricNetwork {
                     original: packet,
                     src_chip: sc,
                     dst_chip: dc,
-                    routed_bytes: 0,
+                    routed_bytes: packet.routed_bytes,
                     arb_start: Some(now),
                     tx_start: None,
                     tx_end: None,
@@ -432,6 +470,7 @@ impl Network for FabricNetwork {
         let mut leg = packet;
         leg.src = self.fabric.local(packet.src);
         leg.dst = self.fabric.chip.grid.site(0, 0);
+        leg.routed_bytes = 0;
         let accepted = self.chips[sc].inject(leg, now);
         self.refresh(sc);
         match accepted {
@@ -443,7 +482,7 @@ impl Network for FabricNetwork {
                         original: packet,
                         src_chip: sc,
                         dst_chip: dc,
-                        routed_bytes: 0,
+                        routed_bytes: packet.routed_bytes,
                         arb_start: None,
                         tx_start: None,
                         tx_end: None,
@@ -593,7 +632,7 @@ impl Network for FabricNetwork {
                 self.refresh(chip);
                 if !response.evicted.is_empty() {
                     let evicted = std::mem::take(&mut response.evicted);
-                    response.evicted = self.absorb_evictions(chip, evicted);
+                    response.evicted = self.absorb_evictions(chip, evicted, now);
                 }
                 response
             }

@@ -28,8 +28,8 @@
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats, TxChannel,
+    Admission, AdmissionEpochs, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, SiteId, SlabStats, TxChannel,
 };
 use std::collections::VecDeque;
 
@@ -106,6 +106,9 @@ pub struct HierarchicalNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped for every site of a cluster when its ring queue dequeues,
+    /// and for a bridge site when one of its bridge links does.
+    admission: AdmissionEpochs,
 }
 
 impl HierarchicalNetwork {
@@ -159,6 +162,7 @@ impl HierarchicalNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(config.grid.sites()),
         }
     }
 
@@ -175,6 +179,21 @@ impl HierarchicalNetwork {
         self.config
             .grid
             .site(cx * self.cluster_side, cy * self.cluster_side)
+    }
+
+    /// Every site of `cluster` injects into its ring queue, so a dequeue
+    /// there may admit any of them.
+    fn bump_cluster(&mut self, cluster: usize) {
+        let c = self.cluster_side;
+        let (x0, y0) = (
+            (cluster % self.clusters_per_side) * c,
+            (cluster / self.clusters_per_side) * c,
+        );
+        for y in y0..y0 + c {
+            for x in x0..x0 + c {
+                self.admission.bump(self.config.grid.site(x, y).index());
+            }
+        }
     }
 
     /// Position of a site in its cluster's serpentine broadcast ring.
@@ -241,6 +260,7 @@ impl HierarchicalNetwork {
             return;
         }
         self.rings[cluster].queue.pop_front();
+        self.bump_cluster(cluster);
         self.rings[cluster].busy = true;
         if relay {
             let link = self.link_index(sc, dc);
@@ -285,6 +305,7 @@ impl HierarchicalNetwork {
         if let Some((pref, finish)) = self.links[link].begin_if_ready(now) {
             self.link_load[link] -= 1;
             let (src_c, dst_c) = (link / self.rings.len(), link % self.rings.len());
+            self.admission.bump(self.bridge_site(src_c).index());
             let packet = self.slab.get_mut(pref);
             // First-set-wins: a bridge-sourced packet starts its wire
             // time here; a relayed one already started it on its ring.
@@ -455,6 +476,14 @@ impl Network for HierarchicalNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -517,6 +546,7 @@ impl Network for HierarchicalNetwork {
     /// between clusters halves the bridge link between them. Site kills
     /// fall back to the resilience wrapper's absorption policy.
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
+        self.admission.bump_all();
         match fault {
             NetFault::LinkKill { src, dst } => {
                 let (sc, dc) = (self.cluster_of(src), self.cluster_of(dst));

@@ -14,8 +14,8 @@
 
 use desim::{EventQueue, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats, TxChannel,
+    Admission, AdmissionEpochs, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, SiteId, SlabStats, TxChannel,
 };
 
 /// Wavelengths per peer channel (8 × 2.5 GB/s = 20 GB/s).
@@ -89,6 +89,8 @@ pub struct LimitedP2pNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped per source site whenever one of its channels dequeues.
+    admission: AdmissionEpochs,
 }
 
 impl LimitedP2pNetwork {
@@ -125,6 +127,7 @@ impl LimitedP2pNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(config.grid.sites()),
         }
     }
 
@@ -215,6 +218,7 @@ impl LimitedP2pNetwork {
             return;
         };
         if let Some((pref, finish)) = ch.begin_if_ready(now) {
+            self.admission.bump(src.index());
             let packet = self.slab.get_mut(pref);
             if hop_dst == packet.dst {
                 // Final optical hop: the wire portion of the trip starts.
@@ -380,6 +384,14 @@ impl Network for LimitedP2pNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -434,6 +446,7 @@ impl Network for LimitedP2pNetwork {
         let sites = self.config.grid.sites();
         let full = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
         let spare = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL / 2);
+        self.admission.bump_all();
         match fault {
             NetFault::LinkKill { src, dst } => {
                 let idx = self.channel_index(src, dst);

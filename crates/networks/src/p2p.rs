@@ -12,8 +12,8 @@
 
 use desim::{EventQueue, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SlabStats, TxChannel,
+    Admission, AdmissionEpochs, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, SlabStats, TxChannel,
 };
 
 /// Wavelengths per point-to-point channel (2 × 2.5 GB/s = 5 GB/s).
@@ -53,6 +53,8 @@ pub struct P2pNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped per source site whenever one of its channels dequeues.
+    admission: AdmissionEpochs,
 }
 
 impl P2pNetwork {
@@ -73,6 +75,7 @@ impl P2pNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(sites),
         }
     }
 
@@ -83,6 +86,7 @@ impl P2pNetwork {
     /// Starts the channel's next transmission if it is idle.
     fn pump(&mut self, channel: usize, now: Time) {
         if let Some((pref, finish)) = self.channels[channel].begin_if_ready(now) {
+            self.admission.bump(channel / self.config.grid.sites());
             // No arbitration on a dedicated channel: the arbitration phase
             // is zero-width, so all pre-wire delay counts as queueing.
             let packet = self.slab.get_mut(pref);
@@ -174,6 +178,14 @@ impl Network for P2pNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -227,6 +239,7 @@ impl Network for P2pNetwork {
         let sites = self.config.grid.sites();
         let full = self.config.channel_bytes_per_ns(LAMBDAS_PER_CHANNEL);
         let spare = self.config.channel_bytes_per_ns(1);
+        self.admission.bump_all();
         match fault {
             NetFault::LinkKill { src, dst } => {
                 self.channels[src.index() * sites + dst.index()].set_bytes_per_ns(spare);

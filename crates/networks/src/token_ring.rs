@@ -15,8 +15,8 @@
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SlabStats, TxChannel,
+    Admission, AdmissionEpochs, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, SlabStats, TxChannel,
 };
 
 /// Wavelengths per destination bundle (128 × 2.5 GB/s = 320 GB/s).
@@ -95,6 +95,8 @@ pub struct TokenRingNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped per source site whenever one of its queues dequeues.
+    admission: AdmissionEpochs,
 }
 
 impl TokenRingNetwork {
@@ -150,6 +152,7 @@ impl TokenRingNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(config.grid.sites()),
         }
     }
 
@@ -270,6 +273,7 @@ impl TokenRingNetwork {
         }
 
         if sent > 0 {
+            self.admission.bump(holder_site.index());
             // Re-injecting the token costs the holder a beat.
             finish += TOKEN_RELEASE;
         }
@@ -366,6 +370,14 @@ impl Network for TokenRingNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -417,6 +429,7 @@ impl Network for TokenRingNetwork {
     /// after a silent lap and re-injects it, costing two ring round trips
     /// (detection + regeneration) before arbitration resumes.
     fn apply_fault(&mut self, fault: NetFault, now: Time) -> FaultResponse {
+        self.admission.bump_all();
         match fault {
             NetFault::LaserLoss { site } | NetFault::LinkKill { dst: site, .. } => {
                 let dst = site.index();

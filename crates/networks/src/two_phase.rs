@@ -24,8 +24,8 @@
 
 use desim::{EventQueue, Span, Time, TraceEvent, Tracer};
 use netcore::{
-    FaultResponse, MacrochipConfig, NetFault, NetStats, Network, NetworkKind, Packet, PacketRef,
-    PacketSlab, SiteId, SlabStats,
+    Admission, AdmissionEpochs, FaultResponse, MacrochipConfig, NetFault, NetStats, Network,
+    NetworkKind, Packet, PacketRef, PacketSlab, SiteId, SlabStats,
 };
 use std::collections::VecDeque;
 
@@ -147,6 +147,8 @@ pub struct TwoPhaseNetwork {
     delivered: Vec<Packet>,
     stats: NetStats,
     tracer: Tracer,
+    /// Bumped per source site whenever one of its queues dequeues.
+    admission: AdmissionEpochs,
 }
 
 impl TwoPhaseNetwork {
@@ -200,6 +202,7 @@ impl TwoPhaseNetwork {
             delivered: Vec::with_capacity(256),
             stats: NetStats::new(),
             tracer: Tracer::disabled(),
+            admission: AdmissionEpochs::new(config.grid.sites()),
         }
     }
 
@@ -354,6 +357,7 @@ impl TwoPhaseNetwork {
             Some(tree) => {
                 let ch = &mut self.channels[channel];
                 let queued = ch.queues[src_col].pop_front().expect("head packet present");
+                self.admission.bump(src.index());
                 if ch.queues[src_col].is_empty() {
                     ch.occ &= !(1 << src_col);
                 }
@@ -504,6 +508,14 @@ impl Network for TwoPhaseNetwork {
         Ok(())
     }
 
+    fn admission_epochs(&self) -> Option<Admission<'_>> {
+        Some(self.admission.view())
+    }
+
+    fn count_skipped_refusals(&mut self, n: u64) {
+        self.stats.on_rejects(n);
+    }
+
     fn next_event(&self) -> Option<Time> {
         self.events.peek_time()
     }
@@ -556,6 +568,7 @@ impl Network for TwoPhaseNetwork {
     fn apply_fault(&mut self, fault: NetFault, _now: Time) -> FaultResponse {
         let sites = self.config.grid.sites();
         let g = self.config.grid;
+        self.admission.bump_all();
         match fault {
             NetFault::SiteKill { site } => {
                 self.masked_sites[site.index()] = true;

@@ -177,6 +177,37 @@ fn fabric_fault_points_are_kernel_invariant_and_audit_clean() {
     }
 }
 
+/// Retransmissions through the fabric: transient corruption NACKs
+/// delivered packets (some after gateway relays) and site kills evict
+/// queued legs. Every relay must still be accounted exactly once against
+/// `routed_bytes`, so the `fabric.inter-chip-bytes` reconciliation stays
+/// clean for every architecture.
+#[test]
+fn fabric_transient_fault_points_are_audit_clean() {
+    for kind in NetworkKind::ALL {
+        for plan in [
+            "rand-links=4; transient=0.05; repair=300ns",
+            "site:5@200ns; link:9->10@100ns; transient=0.05; repair=300ns",
+        ] {
+            let point = CampaignPoint::Fault {
+                kind,
+                pattern: Pattern::Uniform,
+                load: 0.02,
+                plan: FaultPlan::parse(plan).unwrap(),
+                seed: 78,
+                sim: SIM,
+                drain: DRAIN,
+                max_stalled: 5_000,
+            };
+            let run = audited(&point);
+            assert_clean(&run, &format!("{kind} under {plan}"));
+            if let PointResult::Fault(f) = &run.result {
+                assert!(f.retries > 0, "{kind} under {plan}: nothing was retried");
+            }
+        }
+    }
+}
+
 /// A mixed 2x2-board campaign (sweep grid + fault points on both
 /// networks) must produce identical result vectors serially and at every
 /// parallel job count — fabric points are as shard-order-independent as
@@ -398,6 +429,7 @@ fn assert_batched_matches_per_event(
         engine.result, result,
         "{label}: harness differs from the engine"
     );
+    assert_clean(&engine, &label);
     assert_eq!(
         engine.metrics.map(|m| m.to_json()),
         Some(metrics),

@@ -132,6 +132,53 @@ fn events_processed_flows_into_host_counter() {
     assert!(prof::sim_time_ps() > 0);
 }
 
+/// Stall churn is observable host-side: an overloaded run's re-offers
+/// land in the `reoffers_made`/`reoffers_skipped` counters and the
+/// profile table, while its metrics snapshot carries nothing new.
+#[test]
+fn reoffer_counters_absorb_a_stalled_run() {
+    let config = MacrochipConfig::scaled();
+    let made_before = prof::counter(Counter::ReoffersMade);
+    let skipped_before = prof::counter(Counter::ReoffersSkipped);
+    let sink = std::rc::Rc::new(std::cell::RefCell::new(desim::trace::RingSink::new(
+        1 << 20,
+    )));
+    let (_, net) = run_load_point_traced(
+        networks::build(NetworkKind::CircuitSwitched, config),
+        Pattern::Uniform,
+        0.3,
+        &config,
+        SweepOptions {
+            max_stalled: 1_000_000,
+            ..short_options()
+        },
+        Tracer::shared(&sink),
+    );
+    let (mut stalls, mut retries) = (0, 0);
+    for (_, e) in sink.borrow().snapshot() {
+        match e {
+            desim::TraceEvent::Stall { .. } => stalls += 1,
+            desim::TraceEvent::Retry { .. } => retries += 1,
+            _ => {}
+        }
+    }
+    let rejected = net.stats().rejected_packets();
+    assert!(stalls > 0 && retries > 0, "the run must stall and recover");
+    // Every re-offer slot is either made (accepted: a Retry event;
+    // refused: a rejection) or skipped (also counted as a rejection), so
+    // this run alone accounts for retries + rejections beyond the first
+    // refusal of each packet. Other tests can only add to the deltas.
+    let made = prof::counter(Counter::ReoffersMade) - made_before;
+    let skipped = prof::counter(Counter::ReoffersSkipped) - skipped_before;
+    assert!(made + skipped >= retries + rejected - stalls);
+    assert!(skipped > 0, "an overloaded circuit run must skip re-offers");
+    let table = prof::report().table();
+    assert!(table.contains("re-offers:"), "profile table: {table}");
+    let mut reg = MetricsRegistry::new();
+    reg.record_net_stats(net.stats());
+    assert!(!reg.snapshot().to_json().contains("offer"));
+}
+
 /// The bench harness is itself deterministic: consecutive runs agree on
 /// every non-timing field, across all six benched networks.
 #[test]
