@@ -392,7 +392,7 @@ fn run_cell(
             }
         }
     }
-    let run = campaign::run_point_full_fabric(point, fabric, exec);
+    let run = campaign::run_point_full(point, fabric, exec);
     prof::add(prof::Counter::PointsDone, 1);
     if let Some(cache) = cache {
         // A failed store (read-only tree, disk full) only costs future
@@ -511,17 +511,6 @@ fn fabric_from_args(args: &[String]) -> Result<FabricConfig, String> {
     Ok(fabric)
 }
 
-/// The configuration the fabric simulates as one flat site space: the
-/// bare chip for a one-chip board (byte-identical to the pre-fabric
-/// path), the global grid otherwise.
-fn sim_config(fabric: &FabricConfig) -> MacrochipConfig {
-    if fabric.is_single() {
-        fabric.chip
-    } else {
-        fabric.global_config()
-    }
-}
-
 /// Rejects `--chips` on subcommands whose harnesses are single-chip.
 fn reject_chips(args: &[String], cmd: &str) -> Result<(), String> {
     if args.iter().any(|a| a == "--chips") {
@@ -585,7 +574,7 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let network_arg = flag(args, "--network").ok_or("missing --network")?;
     let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
     let pattern_arg = flag(args, "--pattern").ok_or("missing --pattern")?;
@@ -826,19 +815,24 @@ fn cmd_coherent(args: &[String]) -> Result<(), String> {
     let model = NetworkEnergyModel::new(config.layout);
     let mut table = report::coherent_table();
     let mut audit_log = AuditLog::new(audit);
+    let fabric = FabricConfig::single(config);
+    let exec = PointExecOptions {
+        audit,
+        ..PointExecOptions::default()
+    };
     for kind in kinds {
-        let run = if audit {
-            let (run, report) = macrochip::experiment::run_coherent_audited(
-                kind,
-                &spec,
-                &config,
-                EngineConfig::default(),
-                0xCAFE,
-            );
-            audit_log.absorb(&format!("{} {}", kind.name(), spec.name()), Some(&report));
-            run
-        } else {
-            run_coherent(kind, &spec, &config, 0xCAFE)
+        let point = CampaignPoint::Coherent {
+            kind,
+            spec: spec.clone(),
+            seed: 0xCAFE,
+        };
+        let run = campaign::run_point_full(&point, &fabric, exec);
+        audit_log.absorb(
+            &format!("{} {}", kind.name(), spec.name()),
+            run.audit.as_ref(),
+        );
+        let PointResult::Coherent(run) = run.result else {
+            unreachable!("a coherent point yields a coherent result")
         };
         report::coherent_row(&mut table, &model, &run);
     }
@@ -890,7 +884,7 @@ const DEFAULT_FAULT_SPEC: &str = "rand-links=2; transient=0.01; repair=10us";
 fn cmd_faults(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let network_arg = flag(args, "--network").unwrap_or_else(|| "all".into());
     let kinds = names::parse_networks(&network_arg).ok_or("unknown network")?;
     let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
@@ -1015,7 +1009,7 @@ fn cmd_run_all(args: &[String]) -> Result<(), String> {
     let out = OutputOpts::parse(args);
     let jobs = JobOpts::parse(args)?;
     let fabric = fabric_from_args(args)?;
-    let config = sim_config(&fabric);
+    let config = fabric.global_config();
     let pattern_arg = flag(args, "--pattern").unwrap_or_else(|| "uniform".into());
     let pattern = names::parse_pattern(&pattern_arg).ok_or("unknown pattern")?;
     let seed: u64 = flag(args, "--seed")
@@ -1760,7 +1754,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         .unwrap_or(macrochip::bench::DEFAULT_MAX_REGRESSION);
     options.max_regression = factor;
 
-    let report = macrochip::bench::run_bench_on(&fabric, &options);
+    let report = macrochip::bench::run_bench(&fabric, &options);
     std::fs::write(&out_path, report.to_json() + "\n")
         .map_err(|e| format!("writing {out_path}: {e}"))?;
     if !quiet {
@@ -1988,10 +1982,11 @@ fn build_submission(sub: &str, args: &[String]) -> Result<(Vec<CampaignPoint>, S
 }
 
 /// Renders served results exactly as the matching direct subcommand
-/// would have printed them.
+/// would have printed them on the daemon's `side`x`side` chip.
 fn render_results(
     sub: &str,
     prefix: &str,
+    side: usize,
     points: &[CampaignPoint],
     results: &[PointResult],
 ) -> Result<(), String> {
@@ -2024,7 +2019,7 @@ fn render_results(
             table
         }
         "coherent" => {
-            let model = NetworkEnergyModel::default();
+            let model = NetworkEnergyModel::new(MacrochipConfig::with_side(side).layout);
             let mut table = report::coherent_table();
             for result in results {
                 let PointResult::Coherent(run) = result else {
@@ -2094,7 +2089,16 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     if quiet {
         return Ok(());
     }
-    render_results(&sub, &prefix, &points, &results)
+    // Coherent energy depends on the chip geometry, which only the daemon
+    // knows: it was started with its own --side.
+    let side = client
+        .ping()?
+        .get("side")
+        .and_then(macrochip::json::Value::as_u64)
+        .and_then(|s| usize::try_from(s).ok())
+        .filter(|s| (2..=64).contains(s))
+        .ok_or("server did not report a valid grid side")?;
+    render_results(&sub, &prefix, side, &points, &results)
 }
 
 /// `macrochip status` — one job's progress, or the server's vitals.

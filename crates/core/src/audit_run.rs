@@ -1,7 +1,8 @@
-//! Audited run harnesses: every entry point here wires a
-//! [`netcore::Auditor`] into the flight-recorder stream of a run and
-//! returns the reconciled [`AuditReport`] alongside the run's normal
-//! result — the `--audit` flag's engine room.
+//! Audited run harnesses: every entry point here runs under a
+//! [`netcore::Auditor`] fed by the flight-recorder stream and returns the
+//! reconciled [`AuditReport`] alongside the run's normal result. Campaign
+//! points (and the `--audit` flag) get their auditor from
+//! [`crate::campaign::run_point_full`].
 //!
 //! The [`differential_replay`] oracle is the strongest check: it replays
 //! one captured `.mtrc` trace through **all five** network architectures
@@ -10,24 +11,20 @@
 //! in one architecture cannot hide behind that architecture's own
 //! (equally buggy) counters.
 
-use crate::replay_run::{run_replay, run_replay_faulted, ReplayOptions, ReplaySummary};
-use crate::sweep::{run_load_point_traced, LoadPoint, SweepOptions};
+use crate::campaign::{run_point_full, CampaignPoint, PointExecOptions, PointResult};
+use crate::replay_run::{run_replay, ReplayOptions, ReplaySummary};
+use crate::sweep::{LoadPoint, SweepOptions};
 use desim::{Span, Time, Tracer};
-use faults::FaultPlan;
 use netcore::audit::{AuditReport, Auditor};
-use netcore::{MacrochipConfig, Network, NetworkKind};
+use netcore::{FabricConfig, MacrochipConfig, NetworkKind};
 use replay::TraceError;
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 use workloads::Pattern;
 
-/// A shared auditor handle ready to be installed as a [`Tracer`] sink.
-pub fn shared_auditor(kind: NetworkKind, config: &MacrochipConfig) -> Rc<RefCell<Auditor>> {
-    Rc::new(RefCell::new(Auditor::new(kind, config)))
-}
-
-/// [`crate::sweep::run_load_point`] under the invariant auditor.
+/// [`crate::sweep::run_load_point`] under the invariant auditor: a sweep
+/// point through [`run_point_full`] with only the audit side channel on.
 pub fn run_load_point_audited(
     kind: NetworkKind,
     pattern: Pattern,
@@ -35,70 +32,21 @@ pub fn run_load_point_audited(
     config: &MacrochipConfig,
     options: SweepOptions,
 ) -> (LoadPoint, AuditReport) {
-    let auditor = shared_auditor(kind, config);
-    let (point, net) = run_load_point_traced(
-        networks::build(kind, *config),
+    let point = CampaignPoint::Sweep {
+        kind,
         pattern,
         offered,
-        config,
         options,
-        Tracer::shared(&auditor),
-    );
-    let end = Time::ZERO + options.sim + options.drain;
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
-    (point, report)
-}
-
-/// [`run_replay`] under the invariant auditor.
-pub fn run_replay_audited(
-    kind: NetworkKind,
-    path: &Path,
-    config: &MacrochipConfig,
-    options: ReplayOptions,
-) -> Result<(ReplaySummary, AuditReport), TraceError> {
-    let auditor = shared_auditor(kind, config);
-    let (summary, net) = run_replay(kind, path, config, options, Tracer::shared(&auditor))?;
-    let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor.borrow_mut().finalize(net.stats(), 0, end);
-    Ok((summary, report))
-}
-
-/// [`run_replay_faulted`] under the invariant auditor. The fault
-/// wrapper's permanent-drop counter reconciles against the wrapper-reason
-/// drop events, so a faulted packet that simply vanished (accounted
-/// nowhere) is flagged.
-pub fn run_replay_faulted_audited(
-    kind: NetworkKind,
-    path: &Path,
-    config: &MacrochipConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    options: ReplayOptions,
-) -> Result<(ReplaySummary, AuditReport), TraceError> {
-    let auditor = shared_auditor(kind, config);
-    let (summary, net) = run_replay_faulted(
-        kind,
-        path,
-        config,
-        plan,
-        seed,
-        options,
-        Tracer::shared(&auditor),
-    )?;
-    let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-    if net.next_event().is_none() {
-        auditor.borrow_mut().check_slab_idle(net.slab_stats(), end);
-    }
-    let report = auditor
-        .borrow_mut()
-        .finalize(net.stats(), net.fault_stats().dropped, end);
-    Ok((summary, report))
+    };
+    let exec = PointExecOptions {
+        audit: true,
+        ..PointExecOptions::default()
+    };
+    let run = run_point_full(&point, &FabricConfig::single(*config), exec);
+    let PointResult::Sweep(p) = run.result else {
+        unreachable!("a sweep point yields a sweep result")
+    };
+    (p, run.audit.expect("audit requested"))
 }
 
 /// One network's leg of the differential oracle.
@@ -150,7 +98,7 @@ pub fn differential_replay(
 ) -> Result<DifferentialReport, TraceError> {
     let mut runs = Vec::with_capacity(NetworkKind::FIGURE6.len());
     for kind in NetworkKind::FIGURE6 {
-        let auditor = shared_auditor(kind, config);
+        let auditor = Rc::new(RefCell::new(Auditor::new(kind, config)));
         let (summary, net) = run_replay(kind, path, config, options, Tracer::shared(&auditor))?;
         let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
         if net.next_event().is_none() {
@@ -171,7 +119,7 @@ pub fn differential_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_load_point_observed;
+    use crate::sweep::{run_load_point_observed, run_load_point_traced};
     use desim::trace::{TeeSink, TraceEvent, TraceSink};
     use replay::{TraceMeta, TraceWriter};
     use std::io::Cursor;
@@ -233,7 +181,7 @@ mod tests {
     fn a_forged_duplicate_delivery_is_caught_with_full_context() {
         let kind = NetworkKind::PointToPoint;
         let cfg = config();
-        let auditor = shared_auditor(kind, &cfg);
+        let auditor = Rc::new(RefCell::new(Auditor::new(kind, &cfg)));
         let saboteur = Rc::new(RefCell::new(ForgeOnDeliver {
             auditor: Rc::clone(&auditor),
             forged: None,

@@ -23,7 +23,7 @@ use desim::prof;
 use desim::trace::RingSink;
 use desim::{Span, Tracer};
 use netcore::metrics::{json_escape, json_f64};
-use netcore::{FabricConfig, MacrochipConfig, NetworkKind};
+use netcore::{FabricConfig, NetworkKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 use workloads::Pattern;
@@ -182,31 +182,21 @@ pub struct BenchReport {
     pub networks: Vec<NetworkBench>,
 }
 
-/// Runs the bench workload on every [`BENCH_NETWORKS`] entry.
+/// Runs the bench workload on every [`BENCH_NETWORKS`] entry, driven
+/// across the whole of `fabric` through [`networks::build_fabric`]. A
+/// one-chip fabric is the classic bench (same network objects, same
+/// numbers); a larger board stresses the fabric event loop and board
+/// links, and stamps its chip count into the report so [`compare`] can
+/// warn when a diff crosses board sizes.
 ///
 /// # Panics
 ///
 /// Panics if any two trials of the same network disagree on a
 /// deterministic field — that would mean the simulator itself broke
 /// determinism, which no bench number could be trusted over.
-pub fn run_bench(config: &MacrochipConfig, options: &BenchOptions) -> BenchReport {
-    run_bench_on(&FabricConfig::single(*config), options)
-}
-
-/// [`run_bench`] over a multi-chip fabric: the same pinned workload driven
-/// across the whole board through [`networks::build_fabric`]. A one-chip
-/// fabric is exactly the classic bench (same network objects, same
-/// numbers); a larger board stresses the fabric event loop and board
-/// links, and stamps its chip count into the report so [`compare`] can
-/// warn when a diff crosses board sizes.
-pub fn run_bench_on(fabric: &FabricConfig, options: &BenchOptions) -> BenchReport {
+pub fn run_bench(fabric: &FabricConfig, options: &BenchOptions) -> BenchReport {
     assert!(options.trials >= 1, "bench needs at least one trial");
-    let config = if fabric.is_single() {
-        fabric.chip
-    } else {
-        fabric.global_config()
-    };
-    let config = &config;
+    let config = &fabric.global_config();
     let sweep = SweepOptions {
         sim: options.sim,
         drain: options.drain,
@@ -597,6 +587,7 @@ fn per_sec(count: u64, wall_ms: f64) -> f64 {
 mod tests {
     use super::*;
     use desim::trace::validate_json;
+    use netcore::MacrochipConfig;
 
     fn tiny_options() -> BenchOptions {
         BenchOptions {
@@ -625,7 +616,7 @@ mod tests {
     #[test]
     fn bench_runs_all_six_networks_and_round_trips_json() {
         let config = MacrochipConfig::scaled();
-        let report = run_bench(&config, &tiny_options());
+        let report = run_bench(&FabricConfig::single(config), &tiny_options());
         assert_eq!(report.networks.len(), 6);
         for n in &report.networks {
             assert!(n.events > 0, "{} processed no events", n.kind.name());
@@ -647,8 +638,8 @@ mod tests {
     #[test]
     fn consecutive_runs_agree_on_non_timing_fields() {
         let config = MacrochipConfig::scaled();
-        let a = run_bench(&config, &tiny_options());
-        let b = run_bench(&config, &tiny_options());
+        let a = run_bench(&FabricConfig::single(config), &tiny_options());
+        let b = run_bench(&FabricConfig::single(config), &tiny_options());
         for (x, y) in a.networks.iter().zip(&b.networks) {
             assert_eq!(x.kind, y.kind);
             assert_eq!(x.events, y.events, "{}", x.kind.name());
@@ -665,7 +656,7 @@ mod tests {
     #[test]
     fn compare_flags_large_regressions_only() {
         let config = MacrochipConfig::scaled();
-        let baseline = run_bench(&config, &tiny_options());
+        let baseline = run_bench(&FabricConfig::single(config), &tiny_options());
         // Same run compared to itself: no regression.
         let same = compare(&baseline, &baseline, 2.0);
         assert!(same.passed(), "{:?}", same.regressions);
@@ -687,7 +678,7 @@ mod tests {
     #[test]
     fn compare_warns_on_workload_mismatch() {
         let config = MacrochipConfig::scaled();
-        let baseline = run_bench(&config, &tiny_options());
+        let baseline = run_bench(&FabricConfig::single(config), &tiny_options());
         let mut other = baseline.clone();
         other.sim_ns += 1.0;
         other.networks[0].events += 7;
@@ -731,7 +722,7 @@ mod tests {
         // architectures) must neither panic nor mis-gate. The candidate's
         // sixth network warn-skips; the five shared ones still compare.
         let config = MacrochipConfig::scaled();
-        let fresh = run_bench(&config, &tiny_options());
+        let fresh = run_bench(&FabricConfig::single(config), &tiny_options());
         assert_eq!(fresh.networks.len(), 6);
         let newest = fresh.networks[5].kind.name();
         for name in ["BENCH_seed.json", "BENCH_1.json"] {
@@ -760,7 +751,7 @@ mod tests {
             trials: 1,
             ..tiny_options()
         };
-        let report = run_bench_on(&fabric, &options);
+        let report = run_bench(&fabric, &options);
         assert_eq!(report.chips, 4);
         assert_eq!(report.sites, 64);
         for n in &report.networks {

@@ -28,14 +28,16 @@
 //! `jobs` value, with a cold or warm cache. The differential and property
 //! tests in `tests/` enforce this.
 
-use crate::experiment::{run_coherent, run_coherent_audited, CoherentRun, WorkloadSpec};
-use crate::replay_run::{run_replay, run_replay_faulted, ReplayOptions, ReplaySummary};
+use crate::experiment::{run_coherent_full, CoherentRun, WorkloadSpec};
+use crate::replay_run::{
+    record_replay_metrics, run_replay, run_replay_faulted, ReplayOptions, ReplaySummary,
+};
 use crate::runner::{drive_traced, DriveLimits};
 use crate::sweep::{run_load_point_traced, LoadPoint, SweepOptions};
 use desim::trace::{RingSink, TeeSink};
 use desim::{Span, Time, TraceEvent, Tracer};
 use faults::{FaultPlan, ResilientNetwork};
-use netcore::audit::{AuditReport, Auditor};
+use netcore::audit::{AuditReport, AuditViolation, Auditor};
 use netcore::{
     FabricConfig, MacrochipConfig, MetricsRegistry, MetricsSnapshot, Network, NetworkKind,
 };
@@ -554,295 +556,48 @@ pub struct PointRun {
     pub audit: Option<AuditReport>,
 }
 
-/// Executes one campaign point to completion on the calling thread.
+/// Executes one campaign point to completion on the calling thread, on
+/// one chip — the entry the `serve` daemon and the benchmark call.
 pub fn run_point(point: &CampaignPoint, config: &MacrochipConfig) -> PointResult {
-    run_point_full(point, config, PointExecOptions::default()).result
+    run_point_full(
+        point,
+        &FabricConfig::single(*config),
+        PointExecOptions::default(),
+    )
+    .result
 }
 
-/// [`run_point`] with optional flight-recorder, metrics, and invariant
-/// audit capture.
+/// Executes one campaign point on `fabric`, with optional flight-recorder,
+/// metrics and invariant-audit capture.
 ///
-/// Tracing and metrics are unsupported for [`CampaignPoint::Coherent`]
-/// points (the coherent harness owns its network internally); their side
-/// channels come back empty. Auditing **is** supported for coherent
-/// points — it routes through [`run_coherent_audited`], which also checks
-/// the coherence engine's structural invariants.
-pub fn run_point_full(
-    point: &CampaignPoint,
-    config: &MacrochipConfig,
-    exec: PointExecOptions,
-) -> PointRun {
-    let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
-    // Coherent points build their auditor inside run_coherent_audited.
-    let auditor = (exec.audit && !matches!(point, CampaignPoint::Coherent { .. })).then(|| {
-        let kind = match point {
-            CampaignPoint::Sweep { kind, .. }
-            | CampaignPoint::Fault { kind, .. }
-            | CampaignPoint::Coherent { kind, .. }
-            | CampaignPoint::Replay { kind, .. } => *kind,
-        };
-        Rc::new(RefCell::new(Auditor::new(kind, config)))
-    });
-    let tracer = match (&auditor, exec.trace) {
-        (Some(a), true) => {
-            let mut tee = TeeSink::new();
-            tee.add(&sink);
-            tee.add(a);
-            Tracer::shared(&Rc::new(RefCell::new(tee)))
-        }
-        (Some(a), false) => Tracer::shared(a),
-        (None, true) => Tracer::shared(&sink),
-        (None, false) => Tracer::disabled(),
-    };
-    let (result, metrics, audit) = match point {
-        CampaignPoint::Sweep {
-            kind,
-            pattern,
-            offered,
-            options,
-        } => {
-            let (p, net) = run_load_point_traced(
-                networks::build(*kind, *config),
-                *pattern,
-                *offered,
-                config,
-                *options,
-                tracer,
-            );
-            let audit = auditor.map(|a| {
-                let end = Time::ZERO + options.sim + options.drain;
-                a.borrow_mut().finalize(net.stats(), 0, end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                reg.record_net_stats(net.stats());
-                reg.set_gauge("run.offered_load", *offered);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
-            });
-            (PointResult::Sweep(p), metrics, audit)
-        }
-        CampaignPoint::Fault {
-            kind,
-            pattern,
-            load,
-            plan,
-            seed,
-            sim,
-            drain,
-            max_stalled,
-        } => {
-            let horizon = Time::ZERO + *sim;
-            let mut net =
-                ResilientNetwork::new(networks::build(*kind, *config), plan, *seed, horizon);
-            net.set_tracer(tracer.clone());
-            let peak = config.site_bandwidth_bytes_per_ns();
-            let mut traffic = OpenLoopTraffic::new(
-                &config.grid,
-                *pattern,
-                *load,
-                peak,
-                config.data_bytes,
-                *seed,
-            );
-            traffic.set_horizon(horizon);
-            let outcome = drive_traced(
-                &mut net,
-                &mut traffic,
-                DriveLimits::for_window(*sim, *drain, *max_stalled),
-                tracer,
-            );
-            let audit = auditor.map(|a| {
-                a.borrow_mut()
-                    .finalize(net.stats(), net.fault_stats().dropped, outcome.end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                net.record_metrics(&mut reg, outcome.end);
-                reg.set_gauge("run.offered_load", *load);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
-            });
-            let s = net.fault_stats();
-            let result = PointResult::Fault(FaultSummary {
-                clean_delivered: s.clean_delivered,
-                lost: net.lost_packets(),
-                retries: s.retries,
-                availability: net.availability(),
-                clean_bytes: s.clean_bytes,
-                degraded_ns: s.time_degraded(outcome.end).as_ns_f64(),
-                end_ns: outcome.end.as_ns_f64(),
-                saturated: outcome.saturated,
-            });
-            (result, metrics, audit)
-        }
-        CampaignPoint::Coherent { kind, spec, seed } => {
-            if exec.audit {
-                let (run, report) = run_coherent_audited(
-                    *kind,
-                    spec,
-                    config,
-                    coherence::EngineConfig::default(),
-                    *seed,
-                );
-                (PointResult::Coherent(run), None, Some(report))
-            } else {
-                (
-                    PointResult::Coherent(run_coherent(*kind, spec, config, *seed)),
-                    None,
-                    None,
-                )
-            }
-        }
-        CampaignPoint::Replay {
-            kind,
-            trace,
-            content_hash,
-            plan,
-            seed,
-            drain,
-            max_stalled,
-        } => {
-            let options = ReplayOptions {
-                drain: *drain,
-                max_stalled: *max_stalled,
-            };
-            let path = Path::new(trace);
-            // A trace that cannot be opened or replayed cleanly yields a
-            // poisoned (never-cached) summary instead of a panic — the
-            // CLI pre-validates traces, so this is the defense in depth.
-            let run = match plan {
-                Some(plan) => {
-                    run_replay_faulted(*kind, path, config, plan, *seed, options, tracer.clone())
-                        .map(|(summary, net)| {
-                            let audit = auditor.map(|a| {
-                                let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-                                a.borrow_mut()
-                                    .finalize(net.stats(), net.fault_stats().dropped, end)
-                            });
-                            let metrics = exec.metrics.then(|| {
-                                let mut reg = MetricsRegistry::new();
-                                crate::replay_run::record_replay_metrics(&mut reg, &net, &summary);
-                                if let Some(report) = &audit {
-                                    report.record_metrics(&mut reg);
-                                }
-                                reg.snapshot()
-                            });
-                            (summary, metrics, audit)
-                        })
-                }
-                None => run_replay(*kind, path, config, options, tracer.clone()).map(
-                    |(summary, net)| {
-                        let audit = auditor.map(|a| {
-                            let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
-                            a.borrow_mut().finalize(net.stats(), 0, end)
-                        });
-                        let metrics = exec.metrics.then(|| {
-                            let mut reg = MetricsRegistry::new();
-                            crate::replay_run::record_replay_metrics(
-                                &mut reg,
-                                net.as_ref(),
-                                &summary,
-                            );
-                            if let Some(report) = &audit {
-                                report.record_metrics(&mut reg);
-                            }
-                            reg.snapshot()
-                        });
-                        (summary, metrics, audit)
-                    },
-                ),
-            };
-            match run {
-                Ok((summary, metrics, audit)) => (PointResult::Replay(summary), metrics, audit),
-                Err(_) => (
-                    PointResult::Replay(ReplaySummary {
-                        trace_packets: 0,
-                        emitted: 0,
-                        delivered: 0,
-                        delivered_bytes: 0,
-                        mean_latency_ns: 0.0,
-                        p99_latency_ns: 0.0,
-                        delivered_bytes_per_ns_per_site: 0.0,
-                        end_ns: 0.0,
-                        saturated: false,
-                        timed_out: false,
-                        poisoned: true,
-                        trace_last_ps: 0,
-                        content_hash: *content_hash,
-                    }),
-                    None,
-                    None,
-                ),
-            }
-        }
-    };
-    let trace = if exec.trace {
-        sink.borrow().snapshot()
-    } else {
-        Vec::new()
-    };
-    // Audit finalization spans happen after the drive's own flush; roll
-    // them up before this worker thread moves to its next point.
-    desim::prof::flush();
-    PointRun {
-        result,
-        trace,
-        metrics,
-        audit,
-    }
-}
-
-/// Executes one campaign point over a multi-chip fabric on the calling
-/// thread.
-pub fn run_point_fabric(point: &CampaignPoint, fabric: &FabricConfig) -> PointResult {
-    run_point_full_fabric(point, fabric, PointExecOptions::default()).result
-}
-
-/// [`run_point_full`] over a multi-chip fabric.
+/// This is the one executor behind every campaign: a single chip is
+/// `FabricConfig::single(chip)` and runs the very arms a board runs.
+/// [`networks::build_fabric`] hands back the bare chip network and
+/// [`FabricConfig::global_config`] the chip configuration itself, so a
+/// one-chip run is byte-identical to the executor that predates fabrics:
+/// same results, metrics, event stream and cache keys. A multi-chip
+/// board drives the whole-board network as one simulation: traffic and
+/// fault plans address the global grid, and the auditor runs in fabric
+/// mode ([`Auditor::new_fabric`]), which adds the
+/// `fabric.inter-chip-bytes` reconciliation invariant.
 ///
-/// A single-chip fabric delegates straight to [`run_point_full`] with the
-/// chip configuration — the same code path, results, and cache keys as a
-/// campaign that never heard of fabrics. A multi-chip board builds the
-/// whole-board network through [`networks::build_fabric`] and drives it as
-/// one simulation: traffic and fault plans address the global
-/// [`FabricConfig::global_config`] grid, and auditing runs in fabric mode
-/// ([`Auditor::new_fabric`]), which adds the `fabric.inter-chip-bytes`
-/// reconciliation invariant.
+/// An audited run also checks the packet slab for leaks when the network
+/// ends idle, and a coherent point's report carries the coherence
+/// engine's structural invariant violations.
 ///
 /// # Panics
 ///
 /// Coherent and replay points are single-chip harnesses; calling this with
 /// one on a multi-chip fabric panics. The CLI rejects `--chips` for those
 /// subcommands before reaching this layer.
-pub fn run_point_full_fabric(
+pub fn run_point_full(
     point: &CampaignPoint,
     fabric: &FabricConfig,
     exec: PointExecOptions,
 ) -> PointRun {
-    if fabric.is_single() {
-        return run_point_full(point, &fabric.chip, exec);
-    }
     let global = fabric.global_config();
-    let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
-    let auditor = exec
-        .audit
-        .then(|| Rc::new(RefCell::new(Auditor::new_fabric(point.kind(), fabric))));
-    let tracer = match (&auditor, exec.trace) {
-        (Some(a), true) => {
-            let mut tee = TeeSink::new();
-            tee.add(&sink);
-            tee.add(a);
-            Tracer::shared(&Rc::new(RefCell::new(tee)))
-        }
-        (Some(a), false) => Tracer::shared(a),
-        (None, true) => Tracer::shared(&sink),
-        (None, false) => Tracer::disabled(),
-    };
+    let probes = Probes::new(point.kind(), fabric, exec);
+    let tracer = probes.tracer.clone();
     let (result, metrics, audit) = match point {
         CampaignPoint::Sweep {
             kind,
@@ -858,18 +613,10 @@ pub fn run_point_full_fabric(
                 *options,
                 tracer,
             );
-            let audit = auditor.map(|a| {
-                let end = Time::ZERO + options.sim + options.drain;
-                a.borrow_mut().finalize(net.stats(), 0, end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
+            let end = Time::ZERO + options.sim + options.drain;
+            let (metrics, audit) = probes.finish(net.as_ref(), 0, end, Vec::new(), |reg| {
                 reg.record_net_stats(net.stats());
                 reg.set_gauge("run.offered_load", *offered);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
             });
             (PointResult::Sweep(p), metrics, audit)
         }
@@ -903,20 +650,11 @@ pub fn run_point_full_fabric(
                 DriveLimits::for_window(*sim, *drain, *max_stalled),
                 tracer,
             );
-            let audit = auditor.map(|a| {
-                a.borrow_mut()
-                    .finalize(net.stats(), net.fault_stats().dropped, outcome.end)
-            });
-            let metrics = exec.metrics.then(|| {
-                let mut reg = MetricsRegistry::new();
-                net.record_metrics(&mut reg, outcome.end);
-                reg.set_gauge("run.offered_load", *load);
-                if let Some(report) = &audit {
-                    report.record_metrics(&mut reg);
-                }
-                reg.snapshot()
-            });
             let s = net.fault_stats();
+            let (metrics, audit) = probes.finish(&net, s.dropped, outcome.end, Vec::new(), |reg| {
+                net.record_metrics(reg, outcome.end);
+                reg.set_gauge("run.offered_load", *load);
+            });
             let result = PointResult::Fault(FaultSummary {
                 clean_delivered: s.clean_delivered,
                 lost: net.lost_packets(),
@@ -929,24 +667,165 @@ pub fn run_point_full_fabric(
             });
             (result, metrics, audit)
         }
-        CampaignPoint::Coherent { .. } | CampaignPoint::Replay { .. } => panic!(
-            "{} points are single-chip harnesses; a {0} point cannot run on a {}x{} fabric",
-            point.tag(),
-            fabric.chips_per_side,
-            fabric.chips_per_side
-        ),
+        CampaignPoint::Coherent { .. } | CampaignPoint::Replay { .. } if !fabric.is_single() => {
+            panic!(
+                "{} points are single-chip harnesses; a {0} point cannot run on a {}x{} fabric",
+                point.tag(),
+                fabric.chips_per_side,
+                fabric.chips_per_side
+            )
+        }
+        CampaignPoint::Coherent { kind, spec, seed } => {
+            let (run, net, violations) = run_coherent_full(
+                *kind,
+                spec,
+                &global,
+                coherence::EngineConfig::default(),
+                *seed,
+                |_| {},
+                tracer,
+            );
+            let end = Time::ZERO + run.makespan;
+            let (metrics, audit) = probes.finish(net.as_ref(), 0, end, violations, |reg| {
+                reg.record_net_stats(net.stats());
+            });
+            (PointResult::Coherent(run), metrics, audit)
+        }
+        CampaignPoint::Replay {
+            kind,
+            trace,
+            content_hash,
+            plan,
+            seed,
+            drain,
+            max_stalled,
+        } => {
+            let options = ReplayOptions {
+                drain: *drain,
+                max_stalled: *max_stalled,
+            };
+            let path = Path::new(trace);
+            let finish = |summary: ReplaySummary, net: &dyn Network, fault_drops: u64| {
+                let end = Time::ZERO + Span::from_ns_f64(summary.end_ns);
+                let (metrics, audit) = probes.finish(net, fault_drops, end, Vec::new(), |reg| {
+                    record_replay_metrics(reg, net, &summary);
+                });
+                (PointResult::Replay(summary), metrics, audit)
+            };
+            let run = match plan {
+                Some(plan) => {
+                    run_replay_faulted(*kind, path, &global, plan, *seed, options, tracer)
+                        .map(|(summary, net)| finish(summary, &net, net.fault_stats().dropped))
+                }
+                None => run_replay(*kind, path, &global, options, tracer)
+                    .map(|(summary, net)| finish(summary, net.as_ref(), 0)),
+            };
+            // A trace that cannot be opened or replayed cleanly yields a
+            // poisoned (never-cached) summary instead of a panic — the
+            // CLI pre-validates traces, so this is the defense in depth.
+            run.unwrap_or_else(|_| {
+                let poisoned = ReplaySummary {
+                    trace_packets: 0,
+                    emitted: 0,
+                    delivered: 0,
+                    delivered_bytes: 0,
+                    mean_latency_ns: 0.0,
+                    p99_latency_ns: 0.0,
+                    delivered_bytes_per_ns_per_site: 0.0,
+                    end_ns: 0.0,
+                    saturated: false,
+                    timed_out: false,
+                    poisoned: true,
+                    trace_last_ps: 0,
+                    content_hash: *content_hash,
+                };
+                (PointResult::Replay(poisoned), None, None)
+            })
+        }
     };
     let trace = if exec.trace {
-        sink.borrow().snapshot()
+        probes.sink.borrow().snapshot()
     } else {
         Vec::new()
     };
+    // Audit finalization spans happen after the drive's own flush; roll
+    // them up before this worker thread moves to its next point.
     desim::prof::flush();
     PointRun {
         result,
         trace,
         metrics,
         audit,
+    }
+}
+
+/// The side channels of one point execution: the ring sink behind the
+/// flight recorder, the optional invariant auditor, and the tracer that
+/// tees the event stream into whichever of the two are on.
+struct Probes {
+    exec: PointExecOptions,
+    sink: Rc<RefCell<RingSink>>,
+    auditor: Option<Rc<RefCell<Auditor>>>,
+    tracer: Tracer,
+}
+
+impl Probes {
+    fn new(kind: NetworkKind, fabric: &FabricConfig, exec: PointExecOptions) -> Probes {
+        let sink = Rc::new(RefCell::new(RingSink::new(exec.trace_capacity.max(1))));
+        let auditor = exec
+            .audit
+            .then(|| Rc::new(RefCell::new(Auditor::new_fabric(kind, fabric))));
+        let tracer = match (&auditor, exec.trace) {
+            (Some(a), true) => {
+                let mut tee = TeeSink::new();
+                tee.add(&sink);
+                tee.add(a);
+                Tracer::shared(&Rc::new(RefCell::new(tee)))
+            }
+            (Some(a), false) => Tracer::shared(a),
+            (None, true) => Tracer::shared(&sink),
+            (None, false) => Tracer::disabled(),
+        };
+        Probes {
+            exec,
+            sink,
+            auditor,
+            tracer,
+        }
+    }
+
+    /// Closes the books on a driven `net` that stopped at `end`: checks
+    /// the packet slab when the network went idle, reconciles the audit
+    /// (`fault_drops` is the fault wrapper's permanent-drop counter,
+    /// `violations` findings from outside the packet stream), and builds
+    /// the metrics snapshot from `record_extra` plus the `audit.*` family.
+    fn finish(
+        &self,
+        net: &dyn Network,
+        fault_drops: u64,
+        end: Time,
+        mut violations: Vec<AuditViolation>,
+        record_extra: impl FnOnce(&mut MetricsRegistry),
+    ) -> (Option<MetricsSnapshot>, Option<AuditReport>) {
+        let audit = self.auditor.as_ref().map(|a| {
+            let mut a = a.borrow_mut();
+            if net.next_event().is_none() {
+                a.check_slab_idle(net.slab_stats(), end);
+            }
+            let mut report = a.finalize(net.stats(), fault_drops, end);
+            report.total_violations += violations.len() as u64;
+            report.violations.append(&mut violations);
+            report
+        });
+        let metrics = self.exec.metrics.then(|| {
+            let mut reg = MetricsRegistry::new();
+            record_extra(&mut reg);
+            if let Some(report) = &audit {
+                report.record_metrics(&mut reg);
+            }
+            reg.snapshot()
+        });
+        (metrics, audit)
     }
 }
 
@@ -1305,7 +1184,7 @@ mod tests {
                 ..SweepOptions::default()
             },
         };
-        let run = run_point_full_fabric(
+        let run = run_point_full(
             &point,
             &fabric,
             PointExecOptions {

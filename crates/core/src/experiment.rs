@@ -11,10 +11,7 @@ use crate::runner::{drive_observed, DriveLimits};
 use coherence::ops::OpSource;
 use coherence::{CoherenceEngine, EngineConfig, OpStats};
 use desim::{Span, Time, Tracer};
-use netcore::audit::{AuditReport, Auditor};
-use netcore::{MacrochipConfig, Network, NetworkKind, Packet};
-use std::cell::RefCell;
-use std::rc::Rc;
+use netcore::{AuditViolation, MacrochipConfig, Network, NetworkKind, Packet};
 use workloads::{AppProfile, AppWorkload, Pattern, SharingMix, SyntheticOpSource};
 
 /// Which workload a coherent run executes.
@@ -172,47 +169,35 @@ pub fn run_coherent_observed<F: FnMut(&Packet)>(
     seed: u64,
     observer: F,
 ) -> CoherentRun {
-    run_coherent_full(kind, spec, config, engine_config, seed, observer, false).0
+    run_coherent_full(
+        kind,
+        spec,
+        config,
+        engine_config,
+        seed,
+        observer,
+        Tracer::disabled(),
+    )
+    .0
 }
 
-/// [`run_coherent_with`] under the invariant auditor: the network's
-/// flight-recorder stream feeds a [`netcore::Auditor`] and the coherence
-/// engine's structural invariants (MSHR accounting, pending-line table,
-/// directory owner/sharer exclusivity) are checked after the drain. The
-/// returned report merges both layers' findings.
-pub fn run_coherent_audited(
-    kind: NetworkKind,
-    spec: &WorkloadSpec,
-    config: &MacrochipConfig,
-    engine_config: EngineConfig,
-    seed: u64,
-) -> (CoherentRun, AuditReport) {
-    let (run, report) = run_coherent_full(kind, spec, config, engine_config, seed, |_| {}, true);
-    (run, report.expect("audit requested"))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_coherent_full<F: FnMut(&Packet)>(
+/// [`run_coherent_observed`] with a flight recorder: `tracer` is installed
+/// on the network, the coherence engine and the driver. Returns the run,
+/// the driven network (for stats, metrics and audit reconciliation) and
+/// the engine's structural invariant violations after the drain (MSHR
+/// accounting, pending-line table, directory owner/sharer exclusivity).
+pub(crate) fn run_coherent_full<F: FnMut(&Packet)>(
     kind: NetworkKind,
     spec: &WorkloadSpec,
     config: &MacrochipConfig,
     engine_config: EngineConfig,
     seed: u64,
     observer: F,
-    audit: bool,
-) -> (CoherentRun, Option<AuditReport>) {
+    tracer: Tracer,
+) -> (CoherentRun, Box<dyn Network>, Vec<AuditViolation>) {
     let mut net = networks::build(kind, *config);
-    let auditor = audit.then(|| Rc::new(RefCell::new(Auditor::new(kind, config))));
-    let tracer = match &auditor {
-        Some(a) => {
-            let tracer = Tracer::shared(a);
-            net.set_tracer(tracer.clone());
-            tracer
-        }
-        None => Tracer::disabled(),
-    };
-
-    let (stats, completed, mut violations) = match spec {
+    net.set_tracer(tracer.clone());
+    let (stats, completed, violations) = match spec {
         WorkloadSpec::App(profile) => drive_coherent(
             net.as_mut(),
             AppWorkload::new(&config.grid, *profile, seed),
@@ -220,7 +205,6 @@ fn run_coherent_full<F: FnMut(&Packet)>(
             engine_config,
             tracer,
             observer,
-            audit,
         ),
         WorkloadSpec::Synthetic {
             pattern,
@@ -233,18 +217,8 @@ fn run_coherent_full<F: FnMut(&Packet)>(
             engine_config,
             tracer,
             observer,
-            audit,
         ),
     };
-
-    let report = auditor.map(|a| {
-        let end = stats.last_completion();
-        let mut report = a.borrow_mut().finalize(net.stats(), 0, end);
-        report.total_violations += violations.len() as u64;
-        report.violations.append(&mut violations);
-        report
-    });
-
     let net_stats = net.stats();
     let run = CoherentRun {
         network: kind,
@@ -256,13 +230,13 @@ fn run_coherent_full<F: FnMut(&Packet)>(
         routed_bytes: net_stats.routed_bytes(),
         packets: net_stats.delivered_packets(),
     };
-    (run, report)
+    (run, net, violations)
 }
 
 /// Drives one engine over `net` to completion; shared by the App and
 /// Synthetic arms so their setup cannot drift apart. Returns the engine's
-/// stats, its completed-op count, and (when `check` is set) any engine
-/// invariant violations found after the drain.
+/// stats, its completed-op count, and the engine invariant violations
+/// found after the drain.
 fn drive_coherent<S: OpSource, F: FnMut(&Packet)>(
     net: &mut dyn Network,
     source: S,
@@ -270,17 +244,12 @@ fn drive_coherent<S: OpSource, F: FnMut(&Packet)>(
     engine_config: EngineConfig,
     tracer: Tracer,
     observer: F,
-    check: bool,
-) -> (OpStats, u64, Vec<netcore::AuditViolation>) {
+) -> (OpStats, u64, Vec<AuditViolation>) {
     let mut engine = CoherenceEngine::new(*config, engine_config, source);
     engine.set_tracer(tracer.clone());
     let outcome = drive_observed(net, &mut engine, coherent_limits(), tracer, observer);
     debug_assert!(!outcome.timed_out, "coherent run timed out");
-    let violations = if check {
-        engine.check_invariants(outcome.end)
-    } else {
-        Vec::new()
-    };
+    let violations = engine.check_invariants(outcome.end);
     (
         engine.stats().clone(),
         engine.stats().completed(),

@@ -69,10 +69,8 @@ pub mod sweep;
 
 /// One-stop imports for examples and binaries.
 pub mod prelude {
-    pub use crate::audit_run::{
-        differential_replay, run_load_point_audited, run_replay_audited, DifferentialReport,
-    };
-    pub use crate::bench::{run_bench, run_bench_on, BenchOptions, BenchReport};
+    pub use crate::audit_run::{differential_replay, run_load_point_audited, DifferentialReport};
+    pub use crate::bench::{run_bench, BenchOptions, BenchReport};
     pub use crate::campaign::{
         run_indexed, Campaign, CampaignOutcome, CampaignPoint, FaultSummary, PointResult,
         ResultCache,

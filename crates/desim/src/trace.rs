@@ -239,14 +239,14 @@ impl TraceEvent {
                 let _ = write!(
                     out,
                     "{{\"op\":{op},\"site\":{site},\"transition\":\"{}\"}}",
-                    escape_json(transition)
+                    json_escape(transition)
                 );
             }
             TraceEvent::Fault { kind, site, peer } | TraceEvent::Recover { kind, site, peer } => {
                 let _ = write!(
                     out,
                     "{{\"kind\":\"{}\",\"site\":{site},\"peer\":{peer}}}",
-                    escape_json(kind)
+                    json_escape(kind)
                 );
             }
             TraceEvent::Corrupt { packet, dst } => {
@@ -260,7 +260,7 @@ impl TraceEvent {
                 let _ = write!(
                     out,
                     "{{\"packet\":{packet},\"site\":{site},\"reason\":\"{}\"}}",
-                    escape_json(reason)
+                    json_escape(reason)
                 );
             }
             TraceEvent::Nack {
@@ -542,8 +542,10 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled exporters.
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in JSON: quotes, backslashes and
+/// control characters. The one escaper behind every hand-rolled JSON
+/// writer in the workspace (traces, metrics, the serve protocol).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -590,7 +592,7 @@ pub fn chrome_trace_json(sections: &[(String, Vec<(Time, TraceEvent)>)]) -> Stri
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name)
+                json_escape(name)
             ),
         );
         for &(at, event) in events {

@@ -219,7 +219,13 @@ impl Auditor {
     /// weakest bound valid for any board layout), and every relay hop —
     /// on-chip or gateway — must account its packet's bytes exactly once
     /// against `NetStats::routed_bytes` (`fabric.inter-chip-bytes`).
+    ///
+    /// A one-chip fabric gets the plain single-chip auditor of
+    /// [`Auditor::new`].
     pub fn new_fabric(kind: NetworkKind, fabric: &FabricConfig) -> Auditor {
+        if fabric.is_single() {
+            return Auditor::new(kind, &fabric.chip);
+        }
         let mut a = Auditor::new(kind, &fabric.global_config());
         a.fabric = Some(*fabric);
         a

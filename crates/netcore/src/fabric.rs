@@ -104,8 +104,12 @@ impl FabricConfig {
 
     /// The configuration of the fabric viewed as one flat site grid:
     /// traffic patterns, fault plans and latency statistics address this
-    /// global grid, while per-site provisioning stays the chip's.
+    /// global grid, while per-site provisioning stays the chip's. A
+    /// one-chip fabric returns the chip configuration unchanged.
     pub fn global_config(&self) -> MacrochipConfig {
+        if self.is_single() {
+            return self.chip;
+        }
         let gs = self.global_side();
         MacrochipConfig {
             grid: Grid::new(gs),
@@ -218,6 +222,12 @@ mod tests {
         let fabric = FabricConfig::single(chip);
         assert!(fabric.is_single());
         assert_eq!(fabric.global_config(), chip);
+        // Not a rebuilt layout that happens to agree at 0.1 ns/cm.
+        let slow = MacrochipConfig {
+            layout: Layout::new(8, 2.5, 0.2),
+            ..chip
+        };
+        assert_eq!(FabricConfig::single(slow).global_config(), slow);
     }
 
     #[test]

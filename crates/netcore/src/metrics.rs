@@ -28,6 +28,10 @@ use desim::Span;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Escapes a string for embedding in JSON (the workspace's one escaper,
+/// re-exported for this crate's callers).
+pub use desim::trace::json_escape;
+
 /// A collection of named metrics for one run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -222,25 +226,6 @@ pub fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes a string for embedding in JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl MetricsSnapshot {

@@ -89,7 +89,7 @@ impl Client {
     }
 
     /// Probes the server; returns the `ping` response object (`version`,
-    /// `protocol`, `workers`, `queue_cap`, `cache`, ...).
+    /// `protocol`, `side`, `workers`, `queue_cap`, `cache`, ...).
     pub fn ping(&mut self) -> Result<Value, String> {
         let v = self.request(&Request::Ping)?;
         match v.get("protocol").and_then(Value::as_u64) {

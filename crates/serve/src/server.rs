@@ -484,9 +484,10 @@ fn ping_line(shared: &Shared) -> String {
     let registry = shared.jobs.lock().unwrap();
     format!(
         "{{\"ok\":true,\"server\":\"macrochip-serve\",\"version\":\"{}\",\
-         \"protocol\":{PROTOCOL_VERSION},\"workers\":{},\"queue_cap\":{},\
+         \"protocol\":{PROTOCOL_VERSION},\"side\":{},\"workers\":{},\"queue_cap\":{},\
          \"cache\":\"{}\",\"jobs\":{},\"unfinished\":{}}}",
         json_escape(env!("CARGO_PKG_VERSION")),
+        shared.config.grid.side(),
         shared.workers,
         shared.queue_cap,
         json_escape(

@@ -20,7 +20,7 @@
 
 use desim::Span;
 use faults::FaultPlan;
-use macrochip::campaign::{run_point_full_fabric, CampaignPoint, PointExecOptions, PointRun};
+use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions, PointRun};
 use macrochip::sweep::SweepOptions;
 use netcore::{FabricConfig, MacrochipConfig, NetworkKind};
 use workloads::Pattern;
@@ -167,7 +167,7 @@ fn board_results_match_the_pinned_digests() {
         ];
         let got: Vec<u64> = points
             .iter()
-            .map(|p| digest(&run_point_full_fabric(p, &fabric, exec)))
+            .map(|p| digest(&run_point_full(p, &fabric, exec)))
             .collect();
         if got != want {
             let hex: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();

@@ -10,7 +10,7 @@ use macrochip::campaign::{
     run_indexed, run_point_full, Campaign, CampaignOutcome, CampaignPoint, PointExecOptions,
 };
 use macrochip::prelude::*;
-use netcore::MacrochipConfig;
+use netcore::{FabricConfig, MacrochipConfig};
 use workloads::Pattern;
 
 fn config() -> MacrochipConfig {
@@ -135,7 +135,7 @@ fn fault_metrics_side_channel_identical_serial_vs_parallel() {
         audit: false,
         trace_capacity: 1,
     };
-    let cfg = config();
+    let cfg = FabricConfig::single(config());
     let snapshots = |jobs: usize| -> Vec<String> {
         run_indexed(&points, jobs, |_, p| run_point_full(p, &cfg, exec))
             .into_iter()
@@ -162,7 +162,7 @@ fn trace_side_channel_identical_serial_vs_parallel() {
         audit: false,
         trace_capacity: 1 << 14,
     };
-    let cfg = config();
+    let cfg = FabricConfig::single(config());
     let serial = run_indexed(&points, 1, |_, p| run_point_full(p, &cfg, exec));
     let parallel = run_indexed(&points, 4, |_, p| run_point_full(p, &cfg, exec));
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {

@@ -19,8 +19,8 @@
 use desim::{Backend, Span, Time, Tracer};
 use faults::{FaultPlan, ResilientNetwork};
 use macrochip::campaign::{
-    run_indexed, run_point_fabric, run_point_full, run_point_full_fabric, CampaignPoint,
-    FaultSummary, PointExecOptions, PointResult, PointRun,
+    run_indexed, run_point_full, CampaignPoint, FaultSummary, PointExecOptions, PointResult,
+    PointRun,
 };
 use macrochip::runner::{drive_traced, DriveLimits};
 use macrochip::sweep::{run_load_point_traced, SweepOptions};
@@ -109,7 +109,7 @@ fn both<T>(mut f: impl FnMut() -> T) -> (T, T) {
 /// Full-fat execution: metrics + audit, so one run yields everything the
 /// differential needs.
 fn audited(point: &CampaignPoint) -> PointRun {
-    run_point_full_fabric(
+    run_point_full(
         point,
         &fabric(),
         PointExecOptions {
@@ -222,9 +222,13 @@ fn fabric_campaign_is_job_count_invariant() {
         }
         points.push(fault_point(kind));
     }
-    let serial = run_indexed(&points, 1, |_, p| run_point_fabric(p, &board));
+    let serial = run_indexed(&points, 1, |_, p| {
+        run_point_full(p, &board, PointExecOptions::default()).result
+    });
     for jobs in [2, 4, 0] {
-        let parallel = run_indexed(&points, jobs, |_, p| run_point_fabric(p, &board));
+        let parallel = run_indexed(&points, jobs, |_, p| {
+            run_point_full(p, &board, PointExecOptions::default()).result
+        });
         assert_eq!(
             serial, parallel,
             "fabric campaign diverged between 1 job and {jobs} jobs"
@@ -247,8 +251,8 @@ fn single_chip_fabric_points_match_plain_points() {
     };
     for kind in FABRIC_KINDS {
         for point in [sweep_point(kind, 0.03), fault_point(kind)] {
-            let plain = run_point_full(&point, &chip, exec());
-            let via_fabric = run_point_full_fabric(&point, &single, exec());
+            let plain = run_point_full(&point, &single, exec());
+            let via_fabric = run_point_full(&point, &single, exec());
             assert_eq!(
                 plain.result, via_fabric.result,
                 "{kind}: single-chip fabric result differs from the plain path"
@@ -316,7 +320,7 @@ impl Network for PerEvent {
     }
 }
 
-/// Runs a board point as [`run_point_full_fabric`] does, with metrics and
+/// Runs a board point as [`run_point_full`] does, with metrics and
 /// audit on, building the fabric through `wrap`. Returns the result, the
 /// metrics JSON (audit counters included, so a verdict that differs
 /// between the two drives fails the comparison), and whether the runner
@@ -416,7 +420,7 @@ fn assert_batched_matches_per_event(
     assert!(!per_batched, "{label}: the per-event wrapper was batched");
     assert_eq!(result, per_result, "{label}: PointResult differs per-event");
     assert_eq!(metrics, per_metrics, "{label}: metrics differ per-event");
-    let engine = run_point_full_fabric(
+    let engine = run_point_full(
         point,
         board,
         PointExecOptions {

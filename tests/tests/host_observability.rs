@@ -10,7 +10,7 @@ use macrochip::bench::{run_bench, BenchOptions};
 use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions};
 use macrochip::prelude::*;
 use macrochip::sweep::run_load_point_traced;
-use netcore::{MacrochipConfig, MetricsRegistry};
+use netcore::{FabricConfig, MacrochipConfig, MetricsRegistry};
 use proptest::prelude::*;
 use std::sync::Mutex;
 use workloads::Pattern;
@@ -95,7 +95,7 @@ fn profiled_campaign_point_matches_unprofiled() {
         let _guard = PROFILER.lock().unwrap_or_else(|e| e.into_inner());
         let was = prof::enabled();
         prof::set_enabled(enabled);
-        let run = run_point_full(&point, &config, exec);
+        let run = run_point_full(&point, &FabricConfig::single(config), exec);
         prof::set_enabled(was);
         run.metrics.expect("metrics requested").to_json()
     };
@@ -192,8 +192,8 @@ fn bench_runs_are_deterministic_modulo_timing() {
         progress: false,
         max_regression: macrochip::bench::DEFAULT_MAX_REGRESSION,
     };
-    let a = run_bench(&config, &options);
-    let b = run_bench(&config, &options);
+    let a = run_bench(&FabricConfig::single(config), &options);
+    let b = run_bench(&FabricConfig::single(config), &options);
     assert_eq!(a.networks.len(), 6);
     for (x, y) in a.networks.iter().zip(&b.networks) {
         assert_eq!(x.kind, y.kind);
@@ -219,9 +219,9 @@ fn traced_bench_does_identical_work() {
         progress: false,
         max_regression: macrochip::bench::DEFAULT_MAX_REGRESSION,
     };
-    let plain = run_bench(&config, &options);
+    let plain = run_bench(&FabricConfig::single(config), &options);
     options.trace = true;
-    let traced = run_bench(&config, &options);
+    let traced = run_bench(&FabricConfig::single(config), &options);
     for (p, t) in plain.networks.iter().zip(&traced.networks) {
         assert_eq!(p.events, t.events, "{}", p.kind.name());
         assert_eq!(p.delivered, t.delivered);

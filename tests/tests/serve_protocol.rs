@@ -37,6 +37,15 @@ struct TestServer {
 
 impl TestServer {
     fn start(workers: usize, queue_cap: usize, cache: Option<ResultCache>) -> TestServer {
+        TestServer::start_on(MacrochipConfig::scaled(), workers, queue_cap, cache)
+    }
+
+    fn start_on(
+        config: MacrochipConfig,
+        workers: usize,
+        queue_cap: usize,
+        cache: Option<ResultCache>,
+    ) -> TestServer {
         let options = ServeOptions {
             workers,
             queue_cap,
@@ -44,8 +53,7 @@ impl TestServer {
             manifest_dir: None,
             quiet: true,
         };
-        let server = Server::bind("127.0.0.1:0", MacrochipConfig::scaled(), options)
-            .expect("bind ephemeral port");
+        let server = Server::bind("127.0.0.1:0", config, options).expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound address");
         let handle = server.shutdown_handle();
         let thread = std::thread::spawn(move || server.run());
@@ -123,6 +131,16 @@ fn malformed_requests_get_errors_and_the_connection_stays_usable() {
         response.contains("\"ok\":true") && response.contains("macrochip-serve"),
         "connection should survive malformed requests, got {response:?}"
     );
+    server.stop();
+}
+
+/// `submit --wait` renders coherent energy on the daemon's chip, so the
+/// daemon must say which chip that is.
+#[test]
+fn ping_reports_the_daemon_grid_side() {
+    let server = TestServer::start_on(MacrochipConfig::with_side(4), 1, 4, None);
+    let ping = server.client().ping().expect("ping");
+    assert_eq!(ping.get("side").and_then(|v| v.as_u64()), Some(4));
     server.stop();
 }
 

@@ -32,7 +32,7 @@ use macrochip::campaign::{run_point_full, CampaignPoint, PointExecOptions, Point
 use macrochip::runner::{drive_traced, DriveLimits};
 use macrochip::sweep::{run_load_point_observed, SweepOptions};
 use macrochip_tests::overload;
-use netcore::{MacrochipConfig, MetricsRegistry, NetworkKind};
+use netcore::{FabricConfig, MacrochipConfig, MetricsRegistry, NetworkKind};
 use replay::{CaptureSink, TraceMeta};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -206,7 +206,7 @@ fn faulted_replay_digest() -> u64 {
         drain: DRAIN,
         max_stalled: MAX_STALLED,
     };
-    let run = run_point_full(&point, &cfg, exec());
+    let run = run_point_full(&point, &FabricConfig::single(cfg), exec());
     let _ = std::fs::remove_file(&path);
     assert!(rejected(&run) > 0, "the faulted replay never stalled");
     digest(&run)
@@ -256,8 +256,8 @@ fn stalled_sweep_and_fault_points_match_the_pinned_digests() {
     let mut mismatches = Vec::new();
     for (kind, want) in POINTS {
         let runs = [
-            run_point_full(&sweep(kind), &cfg, exec()),
-            run_point_full(&fault(kind), &cfg, exec()),
+            run_point_full(&sweep(kind), &FabricConfig::single(cfg), exec()),
+            run_point_full(&fault(kind), &FabricConfig::single(cfg), exec()),
         ];
         for run in &runs {
             assert!(rejected(run) > 0, "{kind}: point never stalled");
